@@ -9,8 +9,9 @@
 // live migration between shards; handle misuse after release() returns a
 // typed FleetStatus instead of silently addressing a reused slot.
 //
-// This header also owns the fleet vocabulary types — config, admission
-// result, rollup snapshots — shared by both implementations.
+// This header also owns the fleet vocabulary types — admission result,
+// rollup snapshots — shared by both implementations; the config types are
+// aliases of the runtime::config ones.
 
 #include <cstdint>
 #include <memory>
@@ -26,73 +27,13 @@
 
 namespace mvs::fleet {
 
-enum class DispatchPolicy {
-  kRoundRobin,        ///< rotate deferral burden fairly across sessions
-  kWeightedPriority,  ///< defer lowest-weight sessions first under pressure
-};
-
-const char* to_string(DispatchPolicy policy);
-/// Parse "rr" | "round-robin" | "weighted", case-insensitive.
-std::optional<DispatchPolicy> parse_dispatch(std::string name);
-
-struct FleetConfig {
-  /// Per-tick GPU latency deadline (ms). <= 0 disables admission control
-  /// and dispatch deferral: every session is admitted and runs every tick.
-  double slo_ms = 0.0;
-  /// Base tick length; the paper's scenarios stream at 10 fps. Sessions
-  /// with a different native fps grow the wheel (see wheel_hz()).
-  double frame_period_ms = 100.0;
-  DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
-  /// Shared worker pool width (0 = hardware concurrency). All sessions'
-  /// per-camera parallelism — and, sharded, all shards — run on this one
-  /// pool.
-  int threads = 0;
-  /// Allow the admission controller to degrade instead of rejecting.
-  bool allow_degrade = true;
-  /// Admission estimator: assumed steady-state partial-frame tasks per
-  /// camera per regular frame (coarse planning constant; see DESIGN.md §8).
-  double assumed_tasks_per_camera = 4.0;
-  /// Ticks between re-admission scans (reverse degrade ladder); 0 keeps
-  /// degradation sticky for a session's lifetime.
-  int readmit_interval = 10;
-  /// Hysteresis band as fractions of the SLO: a scan only restores when
-  /// the windowed mean busy sits below low water AND the projection after
-  /// restoring stays below high water (prevents admit/degrade oscillation).
-  double readmit_low_water = 0.7;
-  double readmit_high_water = 0.9;
-  /// Let the arbiter split an over-full merged batch across two tick slots
-  /// when a top-weight session would miss the SLO.
-  bool allow_split = false;
-  /// Fixed per-batch dispatch cost (ms) charged by the device pools; see
-  /// TickContext::dispatch_overhead_ms. 0 = ideal overhead-free arbiter.
-  double dispatch_overhead_ms = 0.0;
-  /// Serving-plane width (make_fleet: 1 = single Fleet, > 1 = ShardedFleet
-  /// with this many shards, each with its own arbiter and tick wheel).
-  int shards = 1;
-  /// Max live sessions per shard; 0 = unbounded. The sharded admission
-  /// check against this is O(1) (DESIGN.md §13).
-  int shard_capacity = 0;
-  /// Ticks between sharded rebalance scans; 0 disables background
-  /// migration. Each scan moves at most ONE session off the hottest shard
-  /// (hysteresis, like readmit_scan).
-  int rebalance_interval = 0;
-  /// A scan migrates only when the hottest shard's windowed busy exceeds
-  /// this multiple of the mean shard busy (> 1; the hysteresis band).
-  double rebalance_high_water = 1.25;
-  /// SLO burn-rate monitoring (DESIGN.md §14): tolerated per-tick
-  /// SLO-violation ratio. 0 disables per-session and per-shard monitors.
-  double burn_error_budget = 0.0;
-  int burn_fast_window = 16;   ///< ticks; acute-burn window
-  int burn_slow_window = 64;   ///< ticks; confirmation window
-  double burn_raise = 2.0;     ///< raise at fast AND slow burn >= this
-  double burn_clear = 1.0;     ///< clear at fast burn < this (hysteresis)
-  /// A shard-level raise edge immediately applies one degrade rung to the
-  /// heaviest restorable session (alerting coupled to mitigation).
-  bool burn_degrade = false;
-  /// Internal: which shard of a ShardedFleet this Fleet is (-1 =
-  /// standalone). Namespaces the obs metric keys; not a config-file knob.
-  int shard_index = -1;
-};
+/// The fleet-wide config and its dispatch enum are owned by runtime::config
+/// (the JSON-facing layer, whose field table parses, dumps and validates
+/// them); the fleet consumes them verbatim.
+using DispatchPolicy = runtime::DispatchPolicy;
+using FleetConfig = runtime::FleetConfig;
+using runtime::parse_dispatch;
+using runtime::to_string;
 
 /// The per-session serving spec is owned by runtime::config (the JSON-
 /// facing layer); the fleet consumes it verbatim. See
@@ -196,14 +137,6 @@ struct FleetSnapshot {
   /// JSON document of the whole rollup (fleet object + sessions array).
   std::string to_json() const;
 };
-
-/// Build a FleetConfig from the config-file representation; nullopt (with
-/// *error filled) on an unknown dispatch policy name or out-of-range
-/// sharding knobs. Session specs and device_scale entries are NOT applied
-/// here — admit() / scale_devices() them explicitly (see
-/// tools/mvsched_cli.cpp for the canonical loop).
-std::optional<FleetConfig> make_fleet_config(
-    const runtime::FleetRunConfig& config, std::string* error = nullptr);
 
 /// The serving-plane interface. Implementations: Fleet (one shard,
 /// fleet.hpp) and ShardedFleet (N shards + migration, sharded_fleet.hpp).

@@ -57,4 +57,10 @@ int Args::int_or(const std::string& name, int fallback) const {
   return static_cast<int>(number_or(name, fallback));
 }
 
+std::vector<std::string> Args::names() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : options_) out.push_back(name);
+  return out;
+}
+
 }  // namespace mvs::util

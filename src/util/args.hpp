@@ -22,6 +22,9 @@ class Args {
   std::string get_or(const std::string& name, std::string fallback) const;
   double number_or(const std::string& name, double fallback) const;
   int int_or(const std::string& name, int fallback) const;
+  /// Every option name parsed (without --), sorted; lets a caller reject
+  /// names it does not know.
+  std::vector<std::string> names() const;
 
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
