@@ -1,24 +1,15 @@
 #include "net/transport.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <utility>
 
 namespace mvs::net {
 
 const char* to_string(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kIdeal: return "ideal";
-    case TransportKind::kLossy: return "lossy";
-  }
-  return "?";
+  return util::enum_name(kTransportNames, static_cast<int>(kind));
 }
 
 std::optional<TransportKind> parse_transport(std::string name) {
-  std::transform(name.begin(), name.end(), name.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (name == "ideal") return TransportKind::kIdeal;
-  if (name == "lossy" || name == "netsim") return TransportKind::kLossy;
-  return std::nullopt;
+  return util::enum_value<TransportKind>(kTransportNames, std::move(name));
 }
 
 IdealTransport::IdealTransport(std::size_t cameras, LinkModel link)

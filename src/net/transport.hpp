@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "util/enum_names.hpp"
 
 namespace mvs::net {
 
@@ -29,8 +30,15 @@ enum class TransportKind {
   kLossy,  ///< netsim discrete-event queues with loss/jitter/dropout
 };
 
+/// Config and CLI spellings ("netsim" is an alias of lossy).
+inline constexpr util::EnumName kTransportNames[] = {
+    util::enum_entry("ideal", TransportKind::kIdeal),
+    util::enum_entry("lossy", TransportKind::kLossy),
+    util::enum_entry("netsim", TransportKind::kLossy)};
+
 const char* to_string(TransportKind kind);
-/// Parse "ideal" / "lossy" (case-insensitive); nullopt on unknown names.
+/// Parse a kTransportNames spelling (case-insensitive); nullopt on unknown
+/// names.
 std::optional<TransportKind> parse_transport(std::string name);
 
 /// Something noteworthy that happened to one message during a cycle.

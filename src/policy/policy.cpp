@@ -1,7 +1,6 @@
 #include "policy/policy.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -129,21 +128,11 @@ std::string load_model_text(const PolicyConfig& cfg) {
 }  // namespace
 
 const char* to_string(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kFixed: return "fixed";
-    case PolicyKind::kHeuristic: return "heuristic";
-    case PolicyKind::kLearned: return "learned";
-  }
-  return "fixed";
+  return util::enum_name(kPolicyKindNames, static_cast<int>(kind));
 }
 
 std::optional<PolicyKind> parse_policy_kind(std::string name) {
-  std::transform(name.begin(), name.end(), name.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (name == "fixed") return PolicyKind::kFixed;
-  if (name == "heuristic") return PolicyKind::kHeuristic;
-  if (name == "learned") return PolicyKind::kLearned;
-  return std::nullopt;
+  return util::enum_value<PolicyKind>(kPolicyKindNames, std::move(name));
 }
 
 std::unique_ptr<FramePolicy> make_policy(const PolicyConfig& config,
