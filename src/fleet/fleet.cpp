@@ -85,28 +85,6 @@ Fleet::~Fleet() = default;
 
 void Fleet::attach_trace(runtime::TraceRecorder* trace) { trace_ = trace; }
 
-void Fleet::record(runtime::TraceEventType type, int session_id, double value,
-                   int migrated_from) {
-  if (trace_)
-    trace_->record(
-        {ticks_, session_id, type, 0, value, cfg_.shard_index, migrated_from});
-  // Every lifecycle decision (admit/reject/defer/readmit/evict/...) funnels
-  // through here; one counter per event type re-expresses them as metrics.
-  // Event counters stay un-prefixed in shard mode on purpose: lifecycle
-  // totals aggregate across the plane (per-shard rollups live on the
-  // step() metrics instead).
-  if (obs::enabled())
-    obs::metrics()
-        .counter(std::string("fleet.events.") + runtime::to_string(type))
-        .add(1);
-  // Lifecycle events also land in the flight recorder's event ring so a
-  // postmortem shows what the fleet DID around the miss burst
-  // (to_string returns a static string — no allocation here).
-  if (obs::attribution_enabled())
-    obs::recorder().note_event(ticks_, runtime::to_string(type), session_id,
-                               value);
-}
-
 SessionRecord* Fleet::find(int id) {
   for (auto& s : sessions_)
     if (s->id == id) return s.get();

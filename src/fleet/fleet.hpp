@@ -237,7 +237,10 @@ class Fleet : public FleetApi {
   /// branch and the burn_degrade alert trigger.
   bool apply_degrade_rung(double value);
   void record(runtime::TraceEventType type, int session_id, double value,
-              int migrated_from = -1);
+              int migrated_from = -1) {
+    runtime::emit(trace_, {ticks_, session_id, type, 0, value,
+                           cfg_.shard_index, migrated_from});
+  }
 
   FleetConfig cfg_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  ///< null when shared

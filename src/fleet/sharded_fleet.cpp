@@ -5,8 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "obs/obs.hpp"
-
 namespace mvs::fleet {
 
 ShardedFleet::ShardedFleet(const FleetConfig& config)
@@ -27,16 +25,6 @@ ShardedFleet::~ShardedFleet() = default;
 void ShardedFleet::attach_trace(runtime::TraceRecorder* trace) {
   trace_ = trace;
   for (auto& s : shards_) s->fleet().attach_trace(trace);
-}
-
-void ShardedFleet::record(runtime::TraceEventType type, int session_id,
-                          double value, int shard, int migrated_from) {
-  if (trace_)
-    trace_->record({ticks(), session_id, type, 0, value, shard, migrated_from});
-  if (obs::enabled())
-    obs::metrics()
-        .counter(std::string("fleet.events.") + runtime::to_string(type))
-        .add(1);
 }
 
 long ShardedFleet::ticks() const { return shards_[0]->fleet().ticks(); }

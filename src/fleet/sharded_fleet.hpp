@@ -102,7 +102,10 @@ class ShardedFleet : public FleetApi {
   FleetStatus move_session(SessionHandle outer, int target_shard);
   void rebalance_scan();
   void record(runtime::TraceEventType type, int session_id, double value,
-              int shard = -1, int migrated_from = -1);
+              int shard = -1, int migrated_from = -1) {
+    runtime::emit(trace_, {ticks(), session_id, type, 0, value, shard,
+                           migrated_from});
+  }
 
   FleetConfig cfg_;
   util::ThreadPool pool_;

@@ -162,6 +162,7 @@ void MetricsRegistry::reset() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
+  generation_.fetch_add(1, std::memory_order_release);
 }
 
 namespace {

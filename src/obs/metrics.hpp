@@ -104,6 +104,11 @@ class MetricsRegistry {
   // Destroys all registered metrics. Do not hold references across reset().
   void reset();
 
+  // Bumped by every reset(); probes that cache a reference re-resolve on it.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   // Full snapshot exposition:
   // { "counters": {name: n}, "gauges": {name: v},
   //   "histograms": {name: {count,sum,min,max,p50,p95,p99,buckets:[...]}} }
@@ -121,6 +126,7 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::atomic<std::uint64_t> generation_{1};
 };
 
 }  // namespace mvs::obs

@@ -32,10 +32,7 @@ void RtRunner::push_burn(bool miss, long frame) {
   const auto type = edge > 0 ? runtime::TraceEventType::kSloAlertRaise
                              : runtime::TraceEventType::kSloAlertClear;
   if (edge > 0) ++slo_alerts_;
-  if (trace_) trace_->record({frame, -1, type, 0, miss_burn_.fast_burn()});
-  if (obs::attribution_enabled())
-    obs::recorder().note_event(frame, runtime::to_string(type), -1,
-                               miss_burn_.fast_burn());
+  runtime::emit(trace_, {frame, -1, type, 0, miss_burn_.fast_burn()});
 }
 
 void RtRunner::attach_trace(runtime::TraceRecorder* trace) {
@@ -75,16 +72,10 @@ StepOutcome RtRunner::step() {
       p.superseded = true;
       ++counters_.superseded;
       const double age = arrival - p.capture_ms;
-      if (trace_)
-        trace_->record(
-            {p.frame, -1, runtime::TraceEventType::kRtSupersede, 0, age});
+      runtime::emit(trace_, {p.frame, -1,
+                             runtime::TraceEventType::kRtSupersede, 0, age});
       if (obs::enabled())
         obs::metrics().histogram("rt.superseded").record(age);
-      if (obs::attribution_enabled())
-        obs::recorder().note_event(
-            p.frame,
-            runtime::to_string(runtime::TraceEventType::kRtSupersede), -1,
-            age);
     }
   }
 
@@ -112,9 +103,8 @@ bool RtRunner::drain_until(double t, bool drain_all) {
       // and charge the miss now.
       ++counters_.dropped;
       ++counters_.deadline_miss;
-      if (trace_)
-        trace_->record({p.frame, -1, runtime::TraceEventType::kRtDrop, 0,
-                        age_at_start});
+      runtime::emit(trace_, {p.frame, -1, runtime::TraceEventType::kRtDrop, 0,
+                             age_at_start});
       if (obs::enabled())
         obs::metrics().histogram("rt.deadline_miss").record(age_at_start);
       if (obs::attribution_enabled()) {
@@ -131,9 +121,6 @@ bool RtRunner::drain_until(double t, bool drain_all) {
         fa.deadline_miss = true;
         obs::critical_path().record(fa);
         obs::recorder().note_frame(fa);
-        obs::recorder().note_event(
-            p.frame, runtime::to_string(runtime::TraceEventType::kRtDrop), -1,
-            age_at_start);
       }
       push_burn(true, p.frame);
       resolve_skip(p);
@@ -163,16 +150,10 @@ bool RtRunner::drain_until(double t, bool drain_all) {
     const bool miss = deadline_missed(age, rt_.deadline_ms);
     if (miss) {
       ++counters_.deadline_miss;
-      if (trace_)
-        trace_->record(
-            {p.frame, -1, runtime::TraceEventType::kRtDeadlineMiss, 0, age});
+      runtime::emit(trace_, {p.frame, -1,
+                             runtime::TraceEventType::kRtDeadlineMiss, 0, age});
       if (obs::enabled())
         obs::metrics().histogram("rt.deadline_miss").record(age);
-      if (obs::attribution_enabled())
-        obs::recorder().note_event(
-            p.frame,
-            runtime::to_string(runtime::TraceEventType::kRtDeadlineMiss), -1,
-            age);
     }
     if (obs::enabled()) obs::metrics().histogram("rt.lag_ms").record(age);
     if (obs::attribution_enabled()) {

@@ -365,14 +365,12 @@ struct Pipeline::Impl {
         cameras[i].tracker.reset_from_detections({});
         cameras[i].ghosts.clear();
         cameras[i].pstate = {};  // policy features die with the device
-        if (trace)
-          trace->record({trace_frame, static_cast<int>(i),
-                         TraceEventType::kCameraDown, 0, 0.0});
+        emit(trace, {trace_frame, static_cast<int>(i),
+                     TraceEventType::kCameraDown, 0, 0.0});
       } else if (!active[i] && online && may_rejoin) {
         active[i] = 1;
-        if (trace)
-          trace->record({trace_frame, static_cast<int>(i),
-                         TraceEventType::kCameraRejoin, 0, 0.0});
+        emit(trace, {trace_frame, static_cast<int>(i),
+                     TraceEventType::kCameraRejoin, 0, 0.0});
       }
     }
   }
@@ -497,15 +495,13 @@ struct Pipeline::Impl {
         }
       }
       stats.central_ms = central_sw.elapsed_ms();
-      if (trace) {
-        trace->record({mf.frame_index, -1, TraceEventType::kKeyFrame, 0,
-                       assignment.system_latency()});
-        for (std::size_t i = 0; i < m; ++i)
-          for (std::size_t j = 0; j < problem.objects.size(); ++j)
-            if (assignment.x[i][j])
-              trace->record({mf.frame_index, static_cast<int>(i),
-                             TraceEventType::kAssignment, j, 0.0});
-      }
+      emit(trace, {mf.frame_index, -1, TraceEventType::kKeyFrame, 0,
+                   assignment.system_latency()});
+      for (std::size_t i = 0; i < m; ++i)
+        for (std::size_t j = 0; j < problem.objects.size(); ++j)
+          if (assignment.x[i][j])
+            emit(trace, {mf.frame_index, static_cast<int>(i),
+                         TraceEventType::kAssignment, j, 0.0});
 
       // Downlink: per-camera assignment slice to every online camera.
       for (std::size_t i = 0; i < m; ++i) {
@@ -523,15 +519,12 @@ struct Pipeline::Impl {
       stats.queue_ms = report.queue_ms;
       stats.retries = report.retries;
       stats.dropped_msgs = report.dropped_msgs;
-      if (trace) {
-        for (const net::MessageEvent& e : report.events)
-          trace->record({mf.frame_index, e.camera,
-                         e.kind == net::MessageEvent::Kind::kRetry
-                             ? TraceEventType::kNetRetry
-                             : TraceEventType::kNetDrop,
-                         static_cast<std::uint64_t>(e.uplink ? 1 : 0),
-                         e.time_ms});
-      }
+      for (const net::MessageEvent& e : report.events)
+        emit(trace, {mf.frame_index, e.camera,
+                     e.kind == net::MessageEvent::Kind::kRetry
+                         ? TraceEventType::kNetRetry
+                         : TraceEventType::kNetDrop,
+                     static_cast<std::uint64_t>(e.uplink ? 1 : 0), e.time_ms});
 
       // Cameras adopt their slices; unassigned-but-covered objects become
       // ghosts (BALB distributed stage bookkeeping). A camera whose uplink
@@ -715,10 +708,8 @@ struct Pipeline::Impl {
       cam.cull_departed_into(cam.step.dropped);
       for (long dropped : cam.step.dropped) {
         if (features_on) cam.pstate.note_departure();
-        if (trace)
-          trace->record({mf.frame_index, cam.index,
-                         TraceEventType::kTrackDrop,
-                         static_cast<std::uint64_t>(dropped), 0.0});
+        emit(trace, {mf.frame_index, cam.index, TraceEventType::kTrackDrop,
+                     static_cast<std::uint64_t>(dropped), 0.0});
       }
       for (Ghost& g : cam.ghosts) {
         const geom::BBox fb{g.box.x / cam.render_scale,
@@ -927,11 +918,9 @@ struct Pipeline::Impl {
             }
           }
         }
-        if (trace)
-          for (long removed : update.removed_track_ids)
-            trace->record({mf.frame_index, cam.index,
-                           TraceEventType::kTrackDrop,
-                           static_cast<std::uint64_t>(removed), 0.0});
+        for (long removed : update.removed_track_ids)
+          emit(trace, {mf.frame_index, cam.index, TraceEventType::kTrackDrop,
+                       static_cast<std::uint64_t>(removed), 0.0});
 
         // --- distributed BALB stage ---
         if (obs::enabled()) stage_span.emplace("pipeline.distributed");
@@ -950,10 +939,8 @@ struct Pipeline::Impl {
             cam.lost.erase(it);
             ++adopted;
             reacquired = true;
-            if (trace)
-              trace->record({mf.frame_index, cam.index,
-                             TraceEventType::kAdoptNew,
-                             static_cast<std::uint64_t>(id), 0.0});
+            emit(trace, {mf.frame_index, cam.index, TraceEventType::kAdoptNew,
+                         static_cast<std::uint64_t>(id), 0.0});
             break;
           }
           if (reacquired) continue;
@@ -995,10 +982,8 @@ struct Pipeline::Impl {
           if (adopt) {
             const long id = cam.tracker.add_track(det);
             ++adopted;
-            if (trace)
-              trace->record({mf.frame_index, cam.index,
-                             TraceEventType::kAdoptNew,
-                             static_cast<std::uint64_t>(id), 0.0});
+            emit(trace, {mf.frame_index, cam.index, TraceEventType::kAdoptNew,
+                         static_cast<std::uint64_t>(id), 0.0});
           }
         }
 
@@ -1097,9 +1082,8 @@ struct Pipeline::Impl {
         det.score = 0.5;
         cam.tracker.add_track(det);  // inspected from the next frame on
         ++takeovers;
-        if (trace)
-          trace->record({frame_index, cam.index, TraceEventType::kTakeover,
-                         g.key, 0.0});
+        emit(trace, {frame_index, cam.index, TraceEventType::kTakeover, g.key,
+                     0.0});
       } else {
         g.assigned_cam = successor;
         kept.push_back(g);

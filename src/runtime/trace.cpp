@@ -1,42 +1,62 @@
 #include "runtime/trace.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+
+#include "obs/obs.hpp"
 #include "util/json.hpp"
 
 namespace mvs::runtime {
 
-const char* to_string(TraceEventType type) {
-  switch (type) {
-    case TraceEventType::kKeyFrame: return "key_frame";
-    case TraceEventType::kAssignment: return "assignment";
-    case TraceEventType::kAdoptNew: return "adopt_new";
-    case TraceEventType::kTakeover: return "takeover";
-    case TraceEventType::kTrackDrop: return "track_drop";
-    case TraceEventType::kCameraDown: return "camera_down";
-    case TraceEventType::kCameraRejoin: return "camera_rejoin";
-    case TraceEventType::kNetRetry: return "net_retry";
-    case TraceEventType::kNetDrop: return "net_drop";
-    case TraceEventType::kSessionAdmit: return "session_admit";
-    case TraceEventType::kSessionReject: return "session_reject";
-    case TraceEventType::kSessionEvict: return "session_evict";
-    case TraceEventType::kSessionPause: return "session_pause";
-    case TraceEventType::kSessionResume: return "session_resume";
-    case TraceEventType::kSessionDefer: return "session_defer";
-    case TraceEventType::kSessionReadmit: return "session_readmit";
-    case TraceEventType::kDeviceScale: return "device_scale";
-    case TraceEventType::kBatchSplit: return "batch_split";
-    case TraceEventType::kSessionRedegrade: return "session_redegrade";
-    case TraceEventType::kSessionMigrate: return "session_migrate";
-    case TraceEventType::kRtDrop: return "rt_drop";
-    case TraceEventType::kRtSupersede: return "rt_supersede";
-    case TraceEventType::kRtDeadlineMiss: return "rt_deadline_miss";
-    case TraceEventType::kSloAlertRaise: return "slo_alert_raise";
-    case TraceEventType::kSloAlertClear: return "slo_alert_clear";
-    case TraceEventType::kTraceEventTypeCount_: break;
-  }
-  return "?";
-}
-
 namespace {
+
+constexpr std::size_t kTypeCount =
+    static_cast<std::size_t>(TraceEventType::kTraceEventTypeCount_);
+
+struct TypeInfo {
+  const char* name;
+  bool ring;  ///< reaches the flight recorder's event ring
+};
+
+// Indexed by TraceEventType, in declaration order.
+constexpr TypeInfo kTypes[] = {
+    {"key_frame", true},          {"assignment", false},
+    {"adopt_new", false},         {"takeover", false},
+    {"track_drop", false},        {"camera_down", true},
+    {"camera_rejoin", true},      {"net_retry", true},
+    {"net_drop", true},           {"session_admit", true},
+    {"session_reject", true},     {"session_evict", true},
+    {"session_pause", true},      {"session_resume", true},
+    {"session_defer", true},      {"session_readmit", true},
+    {"device_scale", true},       {"batch_split", true},
+    {"session_redegrade", true},  {"session_migrate", true},
+    {"rt_drop", true},            {"rt_supersede", true},
+    {"rt_deadline_miss", true},   {"slo_alert_raise", true},
+    {"slo_alert_clear", true},
+};
+static_assert(std::size(kTypes) == kTypeCount,
+              "one kTypes entry per TraceEventType");
+
+// `events.<type>` counters, resolved once per registry generation so a warm
+// emit() bumps a cached counter: no lock, no name string.
+struct CounterSlot {
+  std::atomic<std::uint64_t> generation{0};
+  std::atomic<obs::Counter*> counter{nullptr};
+};
+std::array<CounterSlot, kTypeCount> g_counters;
+
+obs::Counter& event_counter(std::size_t type) {
+  CounterSlot& slot = g_counters[type];
+  const std::uint64_t gen = obs::metrics().generation();
+  if (slot.generation.load(std::memory_order_acquire) != gen) {
+    slot.counter.store(&obs::metrics().counter(std::string("events.") +
+                                               kTypes[type].name),
+                       std::memory_order_relaxed);
+    slot.generation.store(gen, std::memory_order_release);
+  }
+  return *slot.counter.load(std::memory_order_relaxed);
+}
 
 util::Json event_json(const TraceEvent& e) {
   util::Json::Object obj;
@@ -52,31 +72,23 @@ util::Json event_json(const TraceEvent& e) {
 
 }  // namespace
 
-bool TraceRecorder::open_stream(const std::string& path, bool stream_only) {
-  std::scoped_lock lock(mutex_);
-  stream_.open(path, std::ios::out | std::ios::trunc);
-  if (!stream_.is_open()) return false;
-  stream_only_ = stream_only;
-  return true;
+const char* to_string(TraceEventType type) {
+  const auto i = static_cast<std::size_t>(type);
+  return i < kTypeCount ? kTypes[i].name : "?";
 }
 
-void TraceRecorder::close_stream() {
-  std::scoped_lock lock(mutex_);
-  if (stream_.is_open()) stream_.close();
-  stream_only_ = false;
-}
-
-bool TraceRecorder::streaming() const {
-  std::scoped_lock lock(mutex_);
-  return stream_.is_open();
+void emit_to_sinks(TraceRecorder* trace, const TraceEvent& event) {
+  if (trace) trace->record(event);
+  const auto i = static_cast<std::size_t>(event.type);
+  if (obs::enabled()) event_counter(i).add(1);
+  if (kTypes[i].ring && obs::attribution_enabled())
+    obs::recorder().note_event(event.frame, kTypes[i].name, event.camera,
+                               event.value);
 }
 
 void TraceRecorder::record(const TraceEvent& event) {
   std::scoped_lock lock(mutex_);
-  ++counts_[static_cast<std::size_t>(event.type)];
-  ++total_;
-  if (stream_.is_open()) stream_ << event_json(event).dump() << '\n';
-  if (!(stream_.is_open() && stream_only_)) events_.push_back(event);
+  events_.push_back(event);
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
@@ -86,19 +98,19 @@ std::vector<TraceEvent> TraceRecorder::events() const {
 
 std::size_t TraceRecorder::count(TraceEventType type) const {
   std::scoped_lock lock(mutex_);
-  return counts_[static_cast<std::size_t>(type)];
+  return static_cast<std::size_t>(
+      std::count_if(events_.begin(), events_.end(),
+                    [type](const TraceEvent& e) { return e.type == type; }));
 }
 
 std::size_t TraceRecorder::total() const {
   std::scoped_lock lock(mutex_);
-  return total_;
+  return events_.size();
 }
 
 void TraceRecorder::clear() {
   std::scoped_lock lock(mutex_);
   events_.clear();
-  counts_.fill(0);
-  total_ = 0;
 }
 
 std::string TraceRecorder::to_json() const {

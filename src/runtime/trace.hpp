@@ -1,18 +1,17 @@
 #pragma once
-// Structured event trace of scheduler activity.
+// Structured event trace of scheduler activity, and the one event path.
 //
-// Attach a TraceRecorder to a Pipeline to capture every scheduling decision
-// — central-stage assignments, distributed-stage adoptions and takeovers,
-// track drops — with frame/camera attribution. The recorder is
-// thread-safe (camera steps run on a pool) and exports JSON for offline
-// inspection of *why* the schedule looked the way it did.
+// Every scheduler event goes through emit(), which feeds the attached
+// TraceRecorder (thread-safe: camera steps run on a pool; exports JSON for
+// offline inspection of *why* the schedule looked the way it did), the
+// per-type `events.<type>` counters and the flight recorder's event ring.
 
-#include <array>
 #include <cstdint>
-#include <fstream>
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/obs.hpp"
 
 namespace mvs::runtime {
 
@@ -67,21 +66,6 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  /// Attach a streaming file sink: every record() appends one JSON object
-  /// line (JSONL) to `path` as it happens, bounding recorder memory on long
-  /// runs. With `stream_only` the in-memory event vector is not grown —
-  /// count()/total() stay exact (served from per-type counters) but
-  /// events()/to_json() only cover events recorded before the sink opened.
-  /// Without `stream_only` the in-memory snapshot path is unchanged
-  /// (bit-identical to a recorder with no sink). Returns false if the file
-  /// cannot be opened for writing.
-  bool open_stream(const std::string& path, bool stream_only = false);
-
-  /// Flushes and closes the streaming sink (no-op when none is open).
-  void close_stream();
-
-  bool streaming() const;
-
   void record(const TraceEvent& event);
 
   /// Snapshot of all events so far (copy; safe while recording continues).
@@ -97,12 +81,17 @@ class TraceRecorder {
  private:
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
-  std::array<std::size_t,
-             static_cast<std::size_t>(TraceEventType::kTraceEventTypeCount_)>
-      counts_{};
-  std::size_t total_ = 0;
-  std::ofstream stream_;
-  bool stream_only_ = false;
 };
+
+/// The one event path: appends `event` to `trace` (when non-null), bumps
+/// `events.<type>` when obs::enabled(), and appends it to the flight ring as
+/// tick = frame, session = camera when obs::attribution_enabled() — except
+/// the per-object events, which would flood the ring. Lock- and
+/// allocation-free once warm; three inlined loads with every sink off.
+void emit_to_sinks(TraceRecorder* trace, const TraceEvent& event);
+inline void emit(TraceRecorder* trace, const TraceEvent& event) {
+  if (trace || obs::enabled() || obs::attribution_enabled())
+    emit_to_sinks(trace, event);
+}
 
 }  // namespace mvs::runtime

@@ -20,6 +20,7 @@
 #include "obs/obs.hpp"
 #include "rt/runner.hpp"
 #include "runtime/pipeline.hpp"
+#include "runtime/trace.hpp"
 #include "util/alloc_track.hpp"
 
 namespace {
@@ -279,6 +280,35 @@ TEST(AllocGuard, FleetAttributionSteadyTicksAllocateNothing) {
       << "fleet with attribution never reached a zero-allocation steady "
          "state in "
       << ticks << " ticks";
+}
+
+// The one event path: once each type's `events.<type>` counter is resolved,
+// emit() bumps it and appends to the flight ring without a lock or a name
+// string — for every event type, with obs and attribution both on.
+TEST(AllocGuard, EmitAllocatesNothingOnceWarm) {
+  obs::set_enabled(true);
+  obs::set_attribution_enabled(true);
+  obs::FlightRecorder::Config rc;
+  rc.miss_threshold = 0;
+  obs::recorder().configure(rc);
+  using runtime::TraceEventType;
+  const int n = static_cast<int>(TraceEventType::kTraceEventTypeCount_);
+  const auto emit_all = [n](long frame) {
+    for (int t = 0; t < n; ++t)
+      runtime::emit(nullptr,
+                    {frame, t % 3, static_cast<TraceEventType>(t), 0, 1.0});
+  };
+  emit_all(0);  // warm: registers every counter once
+  {
+    Armed armed;
+    for (long frame = 1; frame <= 100; ++frame) emit_all(frame);
+    g_armed.store(false, std::memory_order_relaxed);
+    EXPECT_EQ(armed.count(), 0) << "emit() must not allocate once warm";
+  }
+  EXPECT_EQ(obs::metrics().counter("events.session_admit").value(), 101);
+  obs::set_attribution_enabled(false);
+  obs::set_enabled(false);
+  obs::reset();
 }
 
 TEST(AllocGuard, SpanRecordingAllocatesNothingOnHotThread) {

@@ -451,6 +451,41 @@ TEST(ShardedFleet, MigratedSessionTraceEventsCarryShardAndSource) {
   EXPECT_TRUE(saw_resume);
 }
 
+TEST(ShardedFleet, MigrationReachesEventCounterAndFlightRing) {
+  // Plane-level events take the same path as shard events: a forced
+  // migration bumps events.session_migrate and shows up in a postmortem.
+  obs::reset();
+  obs::set_enabled(true);
+  obs::set_attribution_enabled(true);
+  FleetConfig cfg;
+  cfg.shards = 2;
+  ShardedFleet fleet(cfg);
+  const AdmitResult r = fleet.admit(synthetic_spec("s0", 700));
+  ASSERT_TRUE(r.admitted);
+  const int target = 1 - r.shard;
+  fleet.run(2);
+  ASSERT_EQ(fleet.migrate(r.handle, target), FleetStatus::kOk);
+
+  const long long migrations =
+      obs::metrics().counter("events.session_migrate").value();
+  std::string err;
+  const std::optional<util::Json> doc =
+      util::Json::parse(obs::recorder().request_dump("unit-test"), &err);
+  obs::set_attribution_enabled(false);
+  obs::set_enabled(false);
+  obs::reset();
+
+  EXPECT_EQ(migrations, 1);
+  ASSERT_TRUE(doc.has_value()) << err;
+  int in_ring = 0;
+  for (const util::Json& e : doc->find("events")->as_array()) {
+    if (e.string_or("type", "") != "session_migrate") continue;
+    EXPECT_EQ(e.number_or("value", -1.0), static_cast<double>(target));
+    ++in_ring;
+  }
+  EXPECT_EQ(in_ring, 1);
+}
+
 // ----------------------------------------------------- obs determinism --
 
 TEST(ShardedFleet, ObsDeterministicAcrossThreadCounts) {
@@ -530,7 +565,9 @@ TEST(ShardedFleet, MergedExpositionMatchesFlatFleetAtOneShard) {
   ASSERT_TRUE(flat.has_value() && merged.has_value()) << err;
 
   const auto is_flat_fleet_name = [](const std::string& name) {
-    return name.rfind("fleet.", 0) == 0 && name.rfind("fleet.shard.", 0) != 0;
+    return (name.rfind("fleet.", 0) == 0 &&
+            name.rfind("fleet.shard.", 0) != 0) ||
+           name.rfind("events.", 0) == 0;
   };
   int compared = 0;
   for (const char* section : {"counters", "gauges", "histograms"}) {
@@ -545,9 +582,9 @@ TEST(ShardedFleet, MergedExpositionMatchesFlatFleetAtOneShard) {
                             << "merged exposition";
       EXPECT_EQ(entry.dump(), m->dump()) << section << "/" << name;
       // The per-shard source entry is exposed alongside, shard-labeled —
-      // except the "fleet.events.*" counters, which both planes register
-      // flat on purpose (plane-level lifecycle tallies, not shard metrics).
-      if (name.rfind("fleet.events.", 0) != 0) {
+      // except the "events.*" counters, which both planes register flat on
+      // purpose (plane-level event tallies, not shard metrics).
+      if (name.rfind("events.", 0) != 0) {
         const std::string shard_name =
             "fleet.shard.0." + name.substr(std::string("fleet.").size());
         ASSERT_NE(b->find(shard_name), nullptr) << shard_name;

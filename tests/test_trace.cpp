@@ -1,13 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/trace.hpp"
 #include "util/json.hpp"
@@ -108,110 +107,15 @@ TEST(TraceRecorder, EventTypeNames) {
   EXPECT_STREQ(to_string(TraceEventType::kBatchSplit), "batch_split");
 }
 
-// RAII temp file for the streaming-sink tests.
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() { std::remove(path.c_str()); }
-  std::vector<std::string> lines() const {
-    std::ifstream in(path);
-    std::vector<std::string> out;
-    std::string line;
-    while (std::getline(in, line))
-      if (!line.empty()) out.push_back(line);
-    return out;
+TEST(TraceRecorder, EveryEventTypeHasAUniqueName) {
+  std::set<std::string> names;
+  const int n = static_cast<int>(TraceEventType::kTraceEventTypeCount_);
+  for (int t = 0; t < n; ++t) {
+    const std::string name = to_string(static_cast<TraceEventType>(t));
+    EXPECT_NE(name, "?") << "type " << t << " has no name";
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
   }
-  std::string path;
-};
-
-TEST(TraceRecorder, StreamingSinkWritesJsonl) {
-  TempFile file("trace_stream_test.jsonl");
-  TraceRecorder trace;
-  trace.record({1, 0, TraceEventType::kAssignment, 7, 0.5});  // pre-sink
-  ASSERT_TRUE(trace.open_stream(file.path));
-  EXPECT_TRUE(trace.streaming());
-  trace.record({2, 1, TraceEventType::kAdoptNew, 8, 1.5});
-  trace.record({3, -1, TraceEventType::kKeyFrame, 0, 12.0});
-  trace.close_stream();
-  EXPECT_FALSE(trace.streaming());
-
-  // One JSON object per line, only for events recorded while the sink was
-  // open, in record order.
-  const std::vector<std::string> lines = file.lines();
-  ASSERT_EQ(lines.size(), 2u);
-  const auto first = util::Json::parse(lines[0]);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->string_or("type", ""), "adopt_new");
-  EXPECT_DOUBLE_EQ(first->number_or("frame", 0), 2.0);
-  const auto second = util::Json::parse(lines[1]);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->string_or("type", ""), "key_frame");
-  EXPECT_DOUBLE_EQ(second->number_or("value", 0), 12.0);
-
-  // The in-memory snapshot still covers everything.
-  EXPECT_EQ(trace.total(), 3u);
-  EXPECT_EQ(trace.events().size(), 3u);
-}
-
-TEST(TraceRecorder, StreamOnlyCountsStayExact) {
-  TempFile file("trace_stream_only_test.jsonl");
-  TraceRecorder trace;
-  ASSERT_TRUE(trace.open_stream(file.path, /*stream_only=*/true));
-  for (int i = 0; i < 100; ++i)
-    trace.record({i, 0,
-                  i % 3 == 0 ? TraceEventType::kAssignment
-                             : TraceEventType::kTrackDrop,
-                  0, 0.0});
-  trace.close_stream();
-
-  // Memory was not grown, but the per-type counters are exact.
-  EXPECT_TRUE(trace.events().empty());
-  EXPECT_EQ(trace.total(), 100u);
-  EXPECT_EQ(trace.count(TraceEventType::kAssignment), 34u);
-  EXPECT_EQ(trace.count(TraceEventType::kTrackDrop), 66u);
-  EXPECT_EQ(file.lines().size(), 100u);
-
-  trace.clear();
-  EXPECT_EQ(trace.total(), 0u);
-  EXPECT_EQ(trace.count(TraceEventType::kAssignment), 0u);
-}
-
-TEST(TraceRecorder, InMemoryPathBitIdenticalWithSink) {
-  TempFile file("trace_sink_identity_test.jsonl");
-  TraceRecorder plain, sunk;
-  ASSERT_TRUE(sunk.open_stream(file.path));
-  const TraceEvent events[] = {
-      {1, 0, TraceEventType::kAssignment, 3, 0.25},
-      {2, 1, TraceEventType::kTakeover, 4, 1.0},
-      {3, -1, TraceEventType::kKeyFrame, 0, 9.5},
-  };
-  for (const TraceEvent& e : events) {
-    plain.record(e);
-    sunk.record(e);
-  }
-  sunk.close_stream();
-  EXPECT_EQ(plain.to_json(), sunk.to_json());
-  EXPECT_EQ(plain.total(), sunk.total());
-
-  // The streamed lines are exactly the elements of the in-memory export.
-  std::ostringstream joined;
-  joined << "[";
-  const std::vector<std::string> lines = file.lines();
-  for (std::size_t i = 0; i < lines.size(); ++i)
-    joined << (i ? "," : "") << lines[i];
-  joined << "]";
-  const auto streamed = util::Json::parse(joined.str());
-  const auto memory = util::Json::parse(plain.to_json());
-  ASSERT_TRUE(streamed.has_value());
-  ASSERT_TRUE(memory.has_value());
-  EXPECT_EQ(streamed->dump(), memory->dump());
-}
-
-TEST(TraceRecorder, OpenStreamRejectsUnwritablePath) {
-  TraceRecorder trace;
-  EXPECT_FALSE(trace.open_stream("/nonexistent-dir/trace.jsonl"));
-  EXPECT_FALSE(trace.streaming());
-  trace.record({1, 0, TraceEventType::kAssignment, 0, 0.0});
-  EXPECT_EQ(trace.total(), 1u);  // recorder still usable
+  EXPECT_STREQ(to_string(TraceEventType::kTraceEventTypeCount_), "?");
 }
 
 TEST(PipelineTrace, BalbEmitsSchedulingEvents) {
@@ -247,6 +151,53 @@ TEST(PipelineTrace, BalbCenNeverAdopts) {
   EXPECT_EQ(trace.count(TraceEventType::kAdoptNew), 0u);
   EXPECT_EQ(trace.count(TraceEventType::kTakeover), 0u);
   EXPECT_GT(trace.count(TraceEventType::kAssignment), 0u);
+}
+
+TEST(PipelineTrace, NetworkEventsReachFlightRing) {
+  // A lossy link plus a dropout window: the retries, losses and the camera
+  // going down must show up in a postmortem next to the frames they slowed,
+  // while the per-object events stay out of the ring (they only count).
+  obs::reset();
+  obs::set_enabled(true);
+  obs::set_attribution_enabled(true);
+  PipelineConfig cfg;
+  cfg.policy = Policy::kBalb;
+  cfg.horizon_frames = 5;
+  cfg.training_frames = 120;
+  cfg.seed = 8;
+  cfg.transport = net::TransportKind::kLossy;
+  cfg.faults.loss_rate = 0.5;
+  cfg.faults.max_retries = 1;
+  cfg.faults.dropouts.push_back({/*camera=*/1, /*from=*/12, /*to=*/-1});
+  Pipeline pipeline("S3", cfg);
+  pipeline.run(30);
+
+  std::string err;
+  const auto doc =
+      util::Json::parse(obs::recorder().request_dump("unit-test"), &err);
+  const auto metrics = util::Json::parse(obs::metrics().to_json(), &err);
+  obs::set_attribution_enabled(false);
+  obs::set_enabled(false);
+  obs::reset();
+  ASSERT_TRUE(doc.has_value() && metrics.has_value()) << err;
+
+  std::map<std::string, int> ring;
+  for (const util::Json& e : doc->find("events")->as_array())
+    ++ring[e.string_or("type", "?")];
+  EXPECT_GT(ring["key_frame"], 0);
+  EXPECT_GT(ring["net_retry"], 0);
+  EXPECT_GT(ring["net_drop"], 0);
+  EXPECT_EQ(ring["camera_down"], 1);
+  for (const char* per_object :
+       {"assignment", "adopt_new", "takeover", "track_drop"})
+    EXPECT_EQ(ring.count(per_object), 0u) << per_object;
+
+  const util::Json* counters = metrics->find("counters");
+  ASSERT_NE(counters, nullptr);
+  EXPECT_GT(counters->number_or("events.track_drop", 0.0), 0.0);
+  EXPECT_GT(counters->number_or("events.adopt_new", 0.0), 0.0);
+  EXPECT_EQ(counters->number_or("events.net_drop", 0.0),
+            static_cast<double>(ring["net_drop"]));
 }
 
 }  // namespace

@@ -491,8 +491,15 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(run.pipeline.seed),
                net::to_string(run.pipeline.transport));
 
-  runtime::Pipeline pipeline(run.scenario, run.pipeline);
-  const runtime::PipelineResult result = pipeline.run(run.frames);
+  // Driven as rt-of-one (paced, finish-late, no deadline): bit-identical to
+  // the unpaced pipeline, and the runner attributes every frame.
+  runtime::RtConfig rt_of_one;
+  rt_of_one.paced = true;
+  rt_of_one.deadline_ms = 0.0;
+  rt_of_one.late_policy = runtime::LatePolicy::kFinishLate;
+  rt::RtRunner runner(run.scenario, run.pipeline, rt_of_one);
+  runner.run(run.frames);
+  const runtime::PipelineResult result = runner.pipeline().result();
 
   if (args.has("csv")) {
     util::Table csv({"frame", "key", "slowest_ms", "recall", "gt", "tracked",
