@@ -9,18 +9,18 @@
 //               [--dispatch rr|weighted] [--threads 0] [--seed 42]
 //               [--dispatch-overhead-ms 0] [--overhead-sweep-ms 2]
 //               [--json out.json]
-//   bench_fleet --scale [--scale-sessions 1000,4000,10000]
-//               [--scale-shards 1,2,4,8] [--ticks 20] [--json out.json]
+//   bench_fleet --scale [--scale-sessions 1000,4000,16000] [--ticks 20]
+//               [--threads 0] [--json out.json]
 //
 // Sweeps session counts 1..--sessions. Session construction (association
 // training) happens outside the timed region; run(ticks) is timed. Batch and
 // busy-time counters are deterministic for a given (scenario, seed, ticks);
 // only the wall-clock columns vary run to run.
 //
-// --scale switches to the sharded-plane scaling sweep: synthetic-load
-// sessions (no vision stack) hosted on ShardedFleet planes of each listed
-// shard count, reporting ticks/sec, the second merge level's cross-shard
-// batch savings, and device-pool queue drain (bench/fleet_scale.hpp).
+// --scale switches to the plane scaling sweep: synthetic-load sessions (no
+// vision stack) hosted on one plane per listed session count, reporting
+// ticks/sec, ns per session-tick, merged batches and device-pool queueing
+// (bench/fleet_scale.hpp).
 
 #include <algorithm>
 #include <cstdio>
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Sharded-plane scaling sweep (synthetic sessions; see fleet_scale.hpp).
+  // Plane scaling sweep (synthetic sessions; see fleet_scale.hpp).
   if (args.has("scale")) {
     const auto parse_int_list = [](const std::string& spec,
                                    std::vector<int>* out) {
@@ -80,35 +80,28 @@ int main(int argc, char** argv) {
       }
       return !out->empty();
     };
-    std::vector<int> session_counts, shard_counts;
+    std::vector<int> session_counts;
     if (!parse_int_list(args.get_or("scale-sessions", "1000"),
-                        &session_counts) ||
-        !parse_int_list(args.get_or("scale-shards", "1,2,4,8"),
-                        &shard_counts)) {
-      std::fprintf(stderr, "bad --scale-sessions / --scale-shards list\n");
+                        &session_counts)) {
+      std::fprintf(stderr, "bad --scale-sessions list\n");
       return 1;
     }
     const int scale_ticks = args.int_or("ticks", 20);
 
-    util::Table scale_table({"sessions", "shards", "admit_ms", "run_ms",
-                             "ticks/s", "frames", "batches", "x-saved",
-                             "x-saved_ms", "queue_ms", "migrations"});
+    util::Table scale_table({"sessions", "admit_ms", "run_ms", "ticks/s",
+                             "ns/sess-tick", "frames", "batches",
+                             "queue_ms"});
     util::Json::Array scale_json;
     for (const int n : session_counts) {
-      for (const int k : shard_counts) {
-        const bench::ScalePoint p = bench::run_scale_point(
-            scenario, n, k, scale_ticks, seed, cfg.threads);
-        scale_table.add_row(
-            {std::to_string(p.sessions), std::to_string(p.shards),
-             util::Table::fmt(p.admit_ms, 1), util::Table::fmt(p.run_ms, 1),
-             util::Table::fmt(p.ticks_per_sec, 1), std::to_string(p.frames),
-             std::to_string(p.shared_batches),
-             std::to_string(p.cross_batches_saved),
-             util::Table::fmt(p.cross_busy_saved_ms, 1),
-             util::Table::fmt(p.total_queue_ms, 1),
-             std::to_string(p.migrations)});
-        scale_json.push_back(bench::scale_point_json(p));
-      }
+      const bench::ScalePoint p = bench::run_scale_point(
+          scenario, n, scale_ticks, seed, cfg.threads);
+      scale_table.add_row(
+          {std::to_string(p.sessions), util::Table::fmt(p.admit_ms, 1),
+           util::Table::fmt(p.run_ms, 1), util::Table::fmt(p.ticks_per_sec, 1),
+           util::Table::fmt(p.ns_per_session_tick, 0),
+           std::to_string(p.frames), std::to_string(p.shared_batches),
+           util::Table::fmt(p.total_queue_ms, 1)});
+      scale_json.push_back(bench::scale_point_json(p));
     }
     std::printf("scenario=%s ticks=%d synthetic scale sweep\n",
                 scenario.c_str(), scale_ticks);

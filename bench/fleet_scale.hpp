@@ -2,10 +2,9 @@
 // Shared fleet scale-sweep harness (bench_fleet --scale and bench_report).
 //
 // Hosts `sessions` synthetic-load sessions (fleet::SyntheticSource-backed —
-// no vision stack, so 10k sessions admit in milliseconds) on a serving
-// plane of `shards` shards and times admission and steady-state serving.
-// Everything but the wall-clock columns is deterministic for a given
-// (sessions, shards, ticks, seed).
+// no vision stack, so 10k sessions admit in milliseconds) on one serving
+// plane and times admission and steady-state serving. Everything but the
+// wall-clock columns is deterministic for a given (sessions, ticks, seed).
 
 #include <cstdint>
 #include <memory>
@@ -19,34 +18,28 @@ namespace mvs::bench {
 
 struct ScalePoint {
   int sessions = 0;
-  int shards = 0;
   int ticks = 0;
   double admit_ms = 0.0;        ///< wall clock to admit the whole roster
   double run_ms = 0.0;          ///< wall clock for run(ticks)
   double ticks_per_sec = 0.0;   ///< serving throughput
+  double ns_per_session_tick = 0.0;  ///< run_ms per (sessions x ticks)
   long frames = 0;              ///< session-frames served
-  long shared_batches = 0;      ///< Σ shard-local merged batches
-  long cross_batches_saved = 0; ///< second merge level's additional saving
-  double cross_busy_saved_ms = 0.0;
-  double total_queue_ms = 0.0;  ///< device-pool queueing (drains with shards)
+  long shared_batches = 0;      ///< merged batches
+  double total_queue_ms = 0.0;  ///< device-pool queueing
   double mean_occupancy = 0.0;
-  long migrations = 0;
 };
 
-/// Run one (sessions, shards) scale point. Sessions are synthetic copies of
-/// `scenario` with consecutive seeds; rebalancing scans every 20 ticks.
+/// Run one scale point. Sessions are synthetic copies of `scenario` with
+/// consecutive seeds.
 inline ScalePoint run_scale_point(const std::string& scenario, int sessions,
-                                  int shards, int ticks, std::uint64_t seed,
+                                  int ticks, std::uint64_t seed,
                                   int threads = 0) {
   fleet::FleetConfig cfg;
-  cfg.shards = shards;
   cfg.threads = threads;
-  cfg.rebalance_interval = 20;
   const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
 
   ScalePoint point;
   point.sessions = sessions;
-  point.shards = shards;
   point.ticks = ticks;
 
   util::Stopwatch admit_watch;
@@ -66,35 +59,32 @@ inline ScalePoint run_scale_point(const std::string& scenario, int sessions,
   point.ticks_per_sec = point.run_ms > 0.0
                             ? 1000.0 * static_cast<double>(ticks) / point.run_ms
                             : 0.0;
+  point.ns_per_session_tick =
+      sessions > 0 ? 1e6 * point.run_ms /
+                         (static_cast<double>(sessions) * ticks)
+                   : 0.0;
 
   const fleet::FleetSnapshot snap = fleet->snapshot();
   for (const fleet::SessionSnapshot& s : snap.sessions)
     point.frames += s.frames;
   point.shared_batches = snap.shared_batches;
-  point.cross_batches_saved = snap.cross_batches_saved;
-  point.cross_busy_saved_ms = snap.cross_busy_saved_ms;
   point.total_queue_ms = snap.total_queue_ms;
   point.mean_occupancy = snap.mean_occupancy;
-  point.migrations = snap.migrations;
   return point;
 }
 
 inline util::Json scale_point_json(const ScalePoint& p) {
   util::Json::Object o;
   o["sessions"] = util::Json(p.sessions);
-  o["shards"] = util::Json(p.shards);
   o["ticks"] = util::Json(p.ticks);
   o["admit_ms"] = util::Json(p.admit_ms);
   o["run_ms"] = util::Json(p.run_ms);
   o["ticks_per_sec"] = util::Json(p.ticks_per_sec);
+  o["ns_per_session_tick"] = util::Json(p.ns_per_session_tick);
   o["frames"] = util::Json(static_cast<double>(p.frames));
   o["shared_batches"] = util::Json(static_cast<double>(p.shared_batches));
-  o["cross_batches_saved"] =
-      util::Json(static_cast<double>(p.cross_batches_saved));
-  o["cross_busy_saved_ms"] = util::Json(p.cross_busy_saved_ms);
   o["total_queue_ms"] = util::Json(p.total_queue_ms);
   o["mean_occupancy"] = util::Json(p.mean_occupancy);
-  o["migrations"] = util::Json(static_cast<double>(p.migrations));
   return util::Json(std::move(o));
 }
 

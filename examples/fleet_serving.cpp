@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   cfg.dispatch = fleet::DispatchPolicy::kWeightedPriority;
   cfg.readmit_interval = 10;      // reverse-ladder scan every 10 ticks
   cfg.allow_split = true;         // SLO-protective batch splitting
-  // The walkthrough drives the serving plane through FleetApi only — the
-  // same code serves a ShardedFleet by setting cfg.shards > 1.
+  // The walkthrough drives the serving plane through FleetApi only.
   const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
 
   runtime::TraceRecorder trace;

@@ -30,6 +30,8 @@ struct PlanScratch {
     std::vector<double> serial;      ///< per member: own units back-to-back
     std::vector<double> finish;      ///< per member: last unit's completion
     std::vector<double> free_at;     ///< per device: earliest idle time
+    std::vector<double> class_cost;  ///< per size class: Σ batch cost
+    std::vector<double> class_end;   ///< per size class: last batch's end
   };
 
   std::vector<ClassGroup> groups;  ///< sorted by name; grows, never shrinks
@@ -75,12 +77,15 @@ namespace {
 /// full frames in member order) onto `devices` earliest-free-first. Each
 /// dispatch costs `overhead_ms` extra (charged into the batch) and passes
 /// through a single per-class dispatcher that cannot issue two batches
-/// closer together than the overhead — wide pools go sublinear. With a
-/// single member on one device (and any overhead) every accumulation
-/// happens in exactly the order gpu::plan_batch_counts uses, so
-/// attributed == serial == finish bit-for-bit — the fleet-of-one identity:
-/// the dispatcher frees no later than the only device does, so the max()
-/// below always resolves to free_at[d].
+/// closer together than the overhead — wide pools go sublinear.
+///
+/// A member with tasks of size class s takes part in every batch of s, so
+/// the schedule is rolled up per size class (Σ cost, last end) and members
+/// are charged in one members x classes pass: linear in members. A lone
+/// member is charged the plan-order running sum instead, which is how
+/// gpu::plan_batch_counts accumulates — with one device (and any
+/// overhead) each batch issues when the previous one ends, so attributed ==
+/// serial == finish bit-for-bit: the fleet-of-one identity.
 ///
 /// `counts` may be longer than g.members (persistent scratch); only the
 /// first g.members.size() entries are read.
@@ -94,6 +99,8 @@ void run_class(const std::vector<Submission>& subs,
   out.attributed.assign(n, 0.0);
   out.serial.assign(n, 0.0);
   out.finish.assign(n, 0.0);
+  out.class_cost.assign(total.size(), 0.0);
+  out.class_end.assign(total.size(), 0.0);
 
   std::vector<double>& free_at = out.free_at;
   free_at.assign(static_cast<std::size_t>(std::max(1, devices)), 0.0);
@@ -105,6 +112,7 @@ void run_class(const std::vector<Submission>& subs,
     return best;
   };
 
+  double running = 0.0;  // Σ cost in plan order (the lone-member charge)
   for (const gpu::Batch& b : out.merged.batches) {
     const auto s = static_cast<std::size_t>(b.size_class);
     const double cost =
@@ -114,13 +122,25 @@ void run_class(const std::vector<Submission>& subs,
     dispatcher_free = issue + overhead_ms;
     const double end = issue + cost;
     free_at[d] = end;
+    running += cost;
+    out.class_cost[s] += cost;
+    out.class_end[s] = std::max(out.class_end[s], end);
+  }
+  if (n == 1) {
+    out.attributed[0] = running;
+    out.serial[0] = running;
+    for (const double end : out.class_end)
+      out.finish[0] = std::max(out.finish[0], end);
+  } else {
     for (std::size_t mi = 0; mi < n; ++mi) {
-      if (counts[mi][s] == 0) continue;
-      const double share =
-          static_cast<double>(counts[mi][s]) / static_cast<double>(total[s]);
-      out.attributed[mi] += share * cost;
-      out.serial[mi] += cost;
-      out.finish[mi] = std::max(out.finish[mi], end);
+      for (std::size_t s = 0; s < total.size(); ++s) {
+        if (counts[mi][s] == 0) continue;
+        const double share =
+            static_cast<double>(counts[mi][s]) / static_cast<double>(total[s]);
+        out.attributed[mi] += share * out.class_cost[s];
+        out.serial[mi] += out.class_cost[s];
+        out.finish[mi] = std::max(out.finish[mi], out.class_end[s]);
+      }
     }
   }
   for (std::size_t mi = 0; mi < n; ++mi) {
@@ -269,8 +289,8 @@ void GpuArbiter::plan_tick_into(const TickContext& ctx, TickPlan& plan) const {
       }
     }
 
-    // Expose the class's executed (post-split) counts for the second merge
-    // level; warm ticks reuse the vector's capacity (no allocation).
+    // Expose the class's executed (post-split) counts; warm ticks reuse the
+    // vector's capacity (no allocation).
     for (std::size_t sc = 0; sc < executed->size(); ++sc)
       if ((*executed)[sc] > 0)
         plan.cells.push_back(

@@ -21,12 +21,12 @@
 // device the schedule accumulates in exactly the attribution order, so the
 // delay is bit-exactly zero — preserving the fleet-of-one identity.
 //
-// Latency attribution: each shared batch's actual (fill-model) latency is
-// split across contributing sessions in proportion to their task counts of
-// that size class, batch by batch in plan order. A submission that is alone
-// on its device class is therefore charged bit-exactly what
-// gpu::plan_batches would charge it — the fleet-of-one identity the tests
-// pin down. Full-frame inspections (key frames / Full policy) are exclusive:
+// Latency attribution: the actual (fill-model) latency of a size class's
+// batches is split across contributing sessions in proportion to their task
+// counts of that size class — one rollup per size class, so a tick costs
+// time linear in submissions. A submission that is alone on its device
+// class is charged the plan-order sum, bit-exactly what gpu::plan_batches
+// would charge it — the fleet-of-one identity the tests pin down. Full-frame inspections (key frames / Full policy) are exclusive:
 // charged whole to their session and never merged.
 //
 // Preemptive batch splitting: when a TickContext carries an SLO and permits
@@ -86,10 +86,8 @@ struct DeferredSlice {
 };
 
 /// One (device class, size class) cell of a tick's merged plan: the task
-/// count the class actually executed this tick (post-split). This is the
-/// hook for the SECOND merge level: a ShardedFleet folds every shard's
-/// cells per device class to price what a cross-shard merge would save
-/// (sharded_fleet.cpp). Only non-empty cells are listed.
+/// count the class actually executed this tick (post-split). Only
+/// non-empty cells are listed.
 struct MergeCell {
   const gpu::DeviceProfile* device = nullptr;  ///< non-owning
   geom::SizeClassId size_class = 0;
@@ -159,7 +157,7 @@ class GpuArbiter {
 
   /// Merge, plan, schedule onto the device pools, and attribute.
   /// Deterministic: grouping is by device name (lexicographic), attribution
-  /// follows plan batch order, list scheduling follows plan order onto the
+  /// follows size-class order, list scheduling follows plan order onto the
   /// earliest-free device, and submission order is preserved in `shares`.
   TickPlan plan_tick(const TickContext& ctx = {}) const;
 

@@ -9,7 +9,7 @@
 // burn 2.0 exhausts it in half the window.
 //
 // Everything here is header-only, fixed-size (no heap) and single-writer:
-// one monitor belongs to one session or one shard and is pushed from that
+// one monitor belongs to one session or the plane and is pushed from that
 // owner's step path only. Readers of the counters race benignly.
 
 #include <algorithm>

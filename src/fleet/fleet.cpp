@@ -49,74 +49,32 @@ BurnConfig make_burn_config(const FleetConfig& cfg) {
 
 Fleet::Fleet(const FleetConfig& config)
     : cfg_(config),
-      owned_pool_(std::make_unique<util::ThreadPool>(
-          static_cast<std::size_t>(std::max(0, config.threads)))),
-      pool_(owned_pool_.get()) {
+      pool_(std::make_unique<util::ThreadPool>(
+          static_cast<std::size_t>(std::max(0, config.threads)))) {
   base_fps_ = std::max(
       1, static_cast<int>(std::lround(
              1000.0 / std::max(1e-6, cfg_.frame_period_ms))));
   wheel_hz_ = base_fps_;
-  const std::string p =
-      cfg_.shard_index < 0
-          ? std::string("fleet.")
-          : "fleet.shard." + std::to_string(cfg_.shard_index) + ".";
-  obs_.ticks = p + "ticks";
-  obs_.frames = p + "frames";
-  obs_.deferred = p + "deferred";
-  obs_.shared_batches = p + "shared_batches";
-  obs_.isolated_batches = p + "isolated_batches";
-  obs_.batch_splits = p + "batch_splits";
-  obs_.tick_busy_ms = p + "tick_busy_ms";
-  obs_.queue_depth = p + "queue_depth";
-  obs_.sessions = p + "sessions";
-  obs_.session_prefix = p + "session.";
-  shard_burn_.configure(make_burn_config(cfg_));
-}
-
-Fleet::Fleet(const FleetConfig& config, util::ThreadPool* shared_pool)
-    : Fleet(config) {
-  if (shared_pool) {
-    owned_pool_.reset();
-    pool_ = shared_pool;
-  }
+  plane_burn_.configure(make_burn_config(cfg_));
 }
 
 Fleet::~Fleet() = default;
 
 void Fleet::attach_trace(runtime::TraceRecorder* trace) { trace_ = trace; }
 
+Fleet::Roster::iterator Fleet::roster_pos(int id) {
+  return std::lower_bound(
+      sessions_.begin(), sessions_.end(), id,
+      [](const std::unique_ptr<SessionRecord>& s, int v) { return s->id < v; });
+}
+
 SessionRecord* Fleet::find(int id) {
-  for (auto& s : sessions_)
-    if (s->id == id) return s.get();
-  return nullptr;
-}
-
-const SessionRecord* Fleet::find(int id) const {
-  for (const auto& s : sessions_)
-    if (s->id == id) return s.get();
-  return nullptr;
-}
-
-SessionRecord* Fleet::find(SessionHandle handle, FleetStatus* status) {
-  return const_cast<SessionRecord*>(
-      static_cast<const Fleet*>(this)->find(handle, status));
-}
-
-const SessionRecord* Fleet::find(SessionHandle handle,
-                                 FleetStatus* status) const {
-  const HandleTable::Entry* e = handles_.find(handle, status);
-  if (!e) return nullptr;
-  const SessionRecord* s = find(static_cast<int>(e->a));
-  if (!s) {
-    if (status) *status = FleetStatus::kUnknownSession;
-    return nullptr;
-  }
-  if (status) *status = FleetStatus::kOk;
-  return s;
+  const auto it = roster_pos(id);
+  return it != sessions_.end() && (*it)->id == id ? it->get() : nullptr;
 }
 
 SessionState Fleet::state(SessionHandle handle) const {
-  const SessionRecord* s = find(handle);
+  const SessionRecord* s = handles_.find(handle);
   return s ? s->state : SessionState::kEvicted;
 }
 
@@ -196,8 +154,6 @@ void Fleet::grow_wheel(int fps) {
   wheel_hz_ = static_cast<int>(lcm);
 }
 
-void Fleet::ensure_wheel(int fps) { grow_wheel(std::max(1, fps)); }
-
 AdmitResult Fleet::admit(const SessionSpec& spec) {
   AdmitResult result;
   if (spec.fps < 0) {
@@ -217,7 +173,7 @@ AdmitResult Fleet::admit(const SessionSpec& spec) {
       static_cast<double>(fps) / static_cast<double>(base_fps_);
 
   // Without an SLO there is nothing to project against, so admission skips
-  // the roster scan entirely — O(1), which is what lets a shard absorb
+  // the roster scan entirely — O(1), which is what lets the fleet absorb
   // thousands of admissions. With an SLO the exact projection is kept.
   double current = 0.0;
   if (cfg_.slo_ms > 0.0)
@@ -297,14 +253,13 @@ AdmitResult Fleet::admit(const SessionSpec& spec) {
   session->devices = devices;
   session->static_demand_ms =
       estimate_demand_ms(session->devices, session->spec.pipeline);
-  session->placement_demand_ms = demand;
   if (spec.synthetic) {
     session->synth = std::make_unique<SyntheticSource>(
         session->devices, spec.pipeline.seed, cfg_.assumed_tasks_per_camera,
         spec.pipeline.horizon_frames);
   } else {
     session->pipeline = std::make_unique<runtime::Pipeline>(
-        spec.scenario, session->spec.pipeline, pool_);
+        spec.scenario, session->spec.pipeline, pool_.get());
   }
 
   // Register this deployment's accelerator classes with the arbiter so the
@@ -313,16 +268,13 @@ AdmitResult Fleet::admit(const SessionSpec& spec) {
     if (!arbiter_.device_counts().count(dev.name()))
       arbiter_.set_device_count(dev.name(), 1);
 
-  session->handle = handles_.issue();
-  handles_.find(session->handle)->a = session->id;
+  session->handle = handles_.issue(session.get());
   result.handle = session->handle;
   result.admitted = true;
   result.masks_tightened = session->degraded_tight;
   result.rate_halved = stride > 1;
-  result.shard = std::max(0, cfg_.shard_index);
   ++admitted_;
   ++live_sessions_;
-  placed_demand_ms_ += session->placement_demand_ms;
   record(runtime::TraceEventType::kSessionAdmit, session->id,
          result.projected_ms);
   sessions_.push_back(std::move(session));
@@ -331,7 +283,7 @@ AdmitResult Fleet::admit(const SessionSpec& spec) {
 
 FleetStatus Fleet::evict(SessionHandle handle) {
   FleetStatus status = FleetStatus::kOk;
-  SessionRecord* s = find(handle, &status);
+  SessionRecord* s = handles_.find(handle, &status);
   if (!s) return status;
   if (s->state == SessionState::kEvicted) return FleetStatus::kInvalidState;
   if (s->pipeline) {
@@ -343,9 +295,7 @@ FleetStatus Fleet::evict(SessionHandle handle) {
   s->state = SessionState::kEvicted;
   ++evicted_;
   --live_sessions_;
-  placed_demand_ms_ -= s->placement_demand_ms;
-  record(runtime::TraceEventType::kSessionEvict, s->id, 0.0,
-         s->migrated_from);
+  record(runtime::TraceEventType::kSessionEvict, s->id, 0.0);
   // An eviction is a postmortem-worthy lifecycle end: snapshot the flight
   // recorder so the session's last frames survive it (in-memory only unless
   // a postmortem dir is configured).
@@ -355,40 +305,34 @@ FleetStatus Fleet::evict(SessionHandle handle) {
 
 FleetStatus Fleet::pause(SessionHandle handle) {
   FleetStatus status = FleetStatus::kOk;
-  SessionRecord* s = find(handle, &status);
+  SessionRecord* s = handles_.find(handle, &status);
   if (!s) return status;
   if (s->state != SessionState::kActive) return FleetStatus::kInvalidState;
   s->state = SessionState::kPaused;
-  record(runtime::TraceEventType::kSessionPause, s->id, 0.0,
-         s->migrated_from);
+  record(runtime::TraceEventType::kSessionPause, s->id, 0.0);
   return FleetStatus::kOk;
 }
 
 FleetStatus Fleet::resume(SessionHandle handle) {
   FleetStatus status = FleetStatus::kOk;
-  SessionRecord* s = find(handle, &status);
+  SessionRecord* s = handles_.find(handle, &status);
   if (!s) return status;
   if (s->state != SessionState::kPaused) return FleetStatus::kInvalidState;
   s->state = SessionState::kActive;
-  record(runtime::TraceEventType::kSessionResume, s->id, 0.0,
-         s->migrated_from);
+  record(runtime::TraceEventType::kSessionResume, s->id, 0.0);
   return FleetStatus::kOk;
 }
 
 FleetStatus Fleet::release(SessionHandle handle) {
   FleetStatus status = FleetStatus::kOk;
-  SessionRecord* s = find(handle, &status);
+  SessionRecord* s = handles_.find(handle, &status);
   if (!s) return status;
   if (s->state != SessionState::kEvicted) return FleetStatus::kInvalidState;
   // Drop the retained result and recycle the handle slot: the NEXT tenant
   // of this slot gets gen + 1, so every copy of `handle` is now
   // detectably stale instead of silently addressing the newcomer.
-  for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-    if (it->get() != s) continue;
-    sessions_.erase(it);
-    break;
-  }
   handles_.release(handle);
+  sessions_.erase(roster_pos(s->id));
   return FleetStatus::kOk;
 }
 
@@ -403,66 +347,10 @@ int Fleet::scale_devices(const std::string& device_class, int delta) {
 runtime::PipelineResult Fleet::result(SessionHandle handle,
                                       FleetStatus* status) const {
   FleetStatus st = FleetStatus::kOk;
-  const SessionRecord* s = find(handle, &st);
+  const SessionRecord* s = handles_.find(handle, &st);
   if (status) *status = st;
   if (!s) return {};
   return s->pipeline ? s->pipeline->result() : s->final_result;
-}
-
-std::unique_ptr<SessionRecord> Fleet::detach(SessionHandle handle,
-                                             FleetStatus* status) {
-  FleetStatus st = FleetStatus::kOk;
-  SessionRecord* s = find(handle, &st);
-  if (!s) {
-    if (status) *status = st;
-    return nullptr;
-  }
-  if (s->state == SessionState::kEvicted) {
-    if (status) *status = FleetStatus::kInvalidState;
-    return nullptr;
-  }
-  for (auto it = sessions_.begin(); it != sessions_.end(); ++it) {
-    if (it->get() != s) continue;
-    std::unique_ptr<SessionRecord> rec = std::move(*it);
-    sessions_.erase(it);
-    handles_.release(handle);
-    --live_sessions_;
-    placed_demand_ms_ -= rec->placement_demand_ms;
-    rec->handle = {};
-    if (status) *status = FleetStatus::kOk;
-    return rec;
-  }
-  if (status) *status = FleetStatus::kUnknownSession;
-  return nullptr;
-}
-
-SessionHandle Fleet::attach(std::unique_ptr<SessionRecord> record) {
-  if (!record) return {};
-  // Under the plane-wide equal-wheel invariant this is a no-op; it is kept
-  // for safety so a record can never fire on a wheel its period does not
-  // divide.
-  grow_wheel(std::max(1, record->fps));
-  record->id = next_id_++;
-  record->handle = handles_.issue();
-  handles_.find(record->handle)->a = record->id;
-  for (const gpu::DeviceProfile& dev : record->devices)
-    if (!arbiter_.device_counts().count(dev.name()))
-      arbiter_.set_device_count(dev.name(), 1);
-  ++live_sessions_;
-  placed_demand_ms_ += record->placement_demand_ms;
-  const SessionHandle h = record->handle;
-  sessions_.push_back(std::move(record));
-  return h;
-}
-
-SessionHandle Fleet::pick_migration_victim() const {
-  const SessionRecord* best = nullptr;
-  for (const auto& s : sessions_) {
-    if (s->state != SessionState::kActive) continue;
-    if (!best || s->placement_demand_ms < best->placement_demand_ms)
-      best = s.get();
-  }
-  return best ? best->handle : SessionHandle{};
 }
 
 void Fleet::readmit_scan() {
@@ -531,8 +419,7 @@ bool Fleet::apply_degrade_rung(double value) {
     if (s->pipeline) s->pipeline->set_tight_masks(true);
     s->degraded_tight = true;
     ++redegraded_;
-    record(runtime::TraceEventType::kSessionRedegrade, s->id, value,
-           s->migrated_from);
+    record(runtime::TraceEventType::kSessionRedegrade, s->id, value);
     return true;
   }
   for (auto it = sessions_.rbegin(); it != sessions_.rend(); ++it) {
@@ -541,8 +428,7 @@ bool Fleet::apply_degrade_rung(double value) {
     s->stride = 2;
     s->degraded_rate = true;
     ++redegraded_;
-    record(runtime::TraceEventType::kSessionRedegrade, s->id, value,
-           s->migrated_from);
+    record(runtime::TraceEventType::kSessionRedegrade, s->id, value);
     return true;
   }
   return false;
@@ -588,8 +474,7 @@ void Fleet::step() {
       if (!chosen.empty() && projected + d > cfg_.slo_ms) {
         ++s->deferred_ticks;
         ++deferred;
-        record(runtime::TraceEventType::kSessionDefer, s->id, projected + d,
-               s->migrated_from);
+        record(runtime::TraceEventType::kSessionDefer, s->id, projected + d);
         continue;
       }
       projected += d;
@@ -662,18 +547,17 @@ void Fleet::step() {
     // Fleet rollups re-expressed as registry metrics (the SampleSet-based
     // snapshot stays the bit-identical source for FleetSnapshot JSON). All
     // values here are simulated/deterministic, so they carry the full
-    // fingerprint. Keys are shard-prefixed when this fleet is one shard of
-    // a plane (the per-shard obs rollup).
+    // fingerprint.
     obs::MetricsRegistry& m = obs::metrics();
-    m.counter(obs_.ticks).add(1);
-    m.counter(obs_.frames).add(static_cast<long long>(chosen.size()));
-    m.counter(obs_.deferred).add(static_cast<long long>(deferred));
-    m.counter(obs_.shared_batches).add(plan.shared_batches);
-    m.counter(obs_.isolated_batches).add(plan.isolated_batches);
-    m.counter(obs_.batch_splits).add(plan.splits);
-    m.histogram(obs_.tick_busy_ms).record(plan.shared_busy_ms);
-    m.histogram(obs_.queue_depth).record(static_cast<double>(deferred));
-    m.gauge(obs_.sessions).set(static_cast<double>(sessions_.size()));
+    m.counter("fleet.ticks").add(1);
+    m.counter("fleet.frames").add(static_cast<long long>(chosen.size()));
+    m.counter("fleet.deferred").add(static_cast<long long>(deferred));
+    m.counter("fleet.shared_batches").add(plan.shared_batches);
+    m.counter("fleet.isolated_batches").add(plan.isolated_batches);
+    m.counter("fleet.batch_splits").add(plan.splits);
+    m.histogram("fleet.tick_busy_ms").record(plan.shared_busy_ms);
+    m.histogram("fleet.queue_depth").record(static_cast<double>(deferred));
+    m.gauge("fleet.sessions").set(static_cast<double>(sessions_.size()));
   }
 
   // Deferred task slices become carryover debt charged on the tick that
@@ -690,15 +574,19 @@ void Fleet::step() {
 
   // 5. Per-session rollups: frame latency = slowest camera (paper
   // semantics) including device-pool queueing; demand = attributed busy of
-  // the batches this tick actually executed.
+  // the batches this tick actually executed. Shares are in submission
+  // order, i.e. contiguous per session in `ordered`, so one cursor walks
+  // them all.
+  std::size_t cursor = 0;
   for (SessionRecord* s : ordered) {
     double frame_ms = 0.0, frame_iso_ms = 0.0, frame_queue_ms = 0.0;
     double busy = 0.0;
     // The critical-path share: the (gpu, queue) pair of the slowest camera,
     // whose sum IS frame_ms — so the attribution below conserves exactly.
     double crit_gpu_ms = 0.0, crit_wait_ms = 0.0;
-    for (const Attribution& a : plan.shares) {
-      if (a.session != s->id) continue;
+    for (; cursor < plan.shares.size() && plan.shares[cursor].session == s->id;
+         ++cursor) {
+      const Attribution& a = plan.shares[cursor];
       if (a.attributed_ms + a.queue_ms > frame_ms) {
         frame_ms = a.attributed_ms + a.queue_ms;
         crit_gpu_ms = a.attributed_ms;
@@ -712,7 +600,7 @@ void Fleet::step() {
     s->isolated_ms.add(frame_iso_ms);
     s->queue_ms.add(frame_queue_ms);
     if (obs::enabled()) {
-      const std::string prefix = obs_.session_prefix + std::to_string(s->id);
+      const std::string prefix = "fleet.session." + std::to_string(s->id);
       obs::MetricsRegistry& m = obs::metrics();
       m.histogram(prefix + ".latency_ms").record(frame_ms);
       m.histogram(prefix + ".queue_ms").record(frame_queue_ms);
@@ -722,11 +610,10 @@ void Fleet::step() {
     const bool miss = slo > 0.0 && frame_ms > slo;
     if (miss) ++s->slo_violations;
     if (obs::attribution_enabled()) {
-      // Stream id: shard (+1 so shard 0 is distinguishable from a
-      // standalone runner's stream 0) in the high half-word, session id low.
-      const std::uint32_t stream =
-          (static_cast<std::uint32_t>(cfg_.shard_index + 1) << 16) |
-          (static_cast<std::uint32_t>(s->id) & 0xffffU);
+      // Stream id: session id + 1, so session 0 is distinguishable from a
+      // standalone runner's stream 0. Ids are issued once per admission
+      // and never reused, so the streams of different sessions never alias.
+      const auto stream = static_cast<std::uint32_t>(s->id) + 1U;
       obs::FrameAttribution fa;
       fa.id = obs::causal_id(stream, static_cast<std::uint64_t>(s->frames));
       fa.total_ms = frame_ms;
@@ -745,31 +632,30 @@ void Fleet::step() {
         ++s->slo_alerts;
         ++slo_alerts_raised_;
         record(runtime::TraceEventType::kSloAlertRaise, s->id,
-               s->burn.fast_burn(), s->migrated_from);
+               s->burn.fast_burn());
       } else if (edge < 0) {
         ++slo_alerts_cleared_;
         record(runtime::TraceEventType::kSloAlertClear, s->id,
-               s->burn.fast_burn(), s->migrated_from);
+               s->burn.fast_burn());
       }
     }
   }
 
-  // Shard-level burn monitor: a tick whose merged busy exceeds the SLO is
+  // Plane-level burn monitor: a tick whose merged busy exceeds the SLO is
   // one bad event. A raise edge may couple straight into mitigation
   // (burn_degrade: one degrade rung, same rung order as the readmit
   // high-water branch).
   if (cfg_.burn_error_budget > 0.0 && cfg_.slo_ms > 0.0) {
-    const int edge = shard_burn_.push(plan.shared_busy_ms > cfg_.slo_ms);
+    const int edge = plane_burn_.push(plan.shared_busy_ms > cfg_.slo_ms);
     if (edge > 0) {
-      ++shard_slo_alerts_;
       ++slo_alerts_raised_;
       record(runtime::TraceEventType::kSloAlertRaise, -1,
-             shard_burn_.fast_burn());
-      if (cfg_.burn_degrade) apply_degrade_rung(shard_burn_.fast_burn());
+             plane_burn_.fast_burn());
+      if (cfg_.burn_degrade) apply_degrade_rung(plane_burn_.fast_burn());
     } else if (edge < 0) {
       ++slo_alerts_cleared_;
       record(runtime::TraceEventType::kSloAlertClear, -1,
-             shard_burn_.fast_burn());
+             plane_burn_.fast_burn());
     }
   }
 
@@ -789,7 +675,6 @@ FleetSnapshot Fleet::snapshot() const {
   FleetSnapshot snap;
   snap.ticks = ticks_;
   snap.wheel_hz = wheel_hz_;
-  snap.shards = 1;
   snap.admitted = admitted_;
   snap.rejected = rejected_;
   snap.evicted = evicted_;
@@ -818,7 +703,6 @@ FleetSnapshot Fleet::snapshot() const {
   for (const auto& s : sessions_) {
     SessionSnapshot ss;
     ss.handle = s->handle;
-    ss.shard = std::max(0, cfg_.shard_index);
     ss.name = s->spec.name;
     ss.state = s->state;
     ss.weight = s->spec.weight;
@@ -863,13 +747,11 @@ std::string FleetSnapshot::to_json() const {
   util::Json::Object fleet;
   fleet["ticks"] = util::Json(static_cast<double>(ticks));
   fleet["wheel_hz"] = util::Json(wheel_hz);
-  fleet["shards"] = util::Json(shards);
   fleet["admitted"] = util::Json(admitted);
   fleet["rejected"] = util::Json(rejected);
   fleet["evicted"] = util::Json(evicted);
   fleet["readmitted"] = util::Json(readmitted);
   fleet["redegraded"] = util::Json(redegraded);
-  fleet["migrations"] = util::Json(static_cast<double>(migrations));
   fleet["batch_splits"] = util::Json(static_cast<double>(batch_splits));
   fleet["shared_batches"] = util::Json(static_cast<double>(shared_batches));
   fleet["isolated_batches"] =
@@ -877,9 +759,6 @@ std::string FleetSnapshot::to_json() const {
   fleet["shared_busy_ms"] = util::Json(shared_busy_ms);
   fleet["isolated_busy_ms"] = util::Json(isolated_busy_ms);
   fleet["total_queue_ms"] = util::Json(total_queue_ms);
-  fleet["cross_batches_saved"] =
-      util::Json(static_cast<double>(cross_batches_saved));
-  fleet["cross_busy_saved_ms"] = util::Json(cross_busy_saved_ms);
   fleet["total_retries"] = util::Json(static_cast<double>(total_retries));
   fleet["total_dropped_msgs"] =
       util::Json(static_cast<double>(total_dropped_msgs));
@@ -899,27 +778,12 @@ std::string FleetSnapshot::to_json() const {
     pools.push_back(util::Json(std::move(pool)));
   }
   fleet["device_pools"] = util::Json(std::move(pools));
-  util::Json::Array rollups;
-  for (const ShardRollup& r : shard_rollups) {
-    util::Json::Object obj;
-    obj["shard"] = util::Json(r.index);
-    obj["sessions"] = util::Json(r.sessions);
-    obj["frames"] = util::Json(static_cast<double>(r.frames));
-    obj["shared_busy_ms"] = util::Json(r.shared_busy_ms);
-    obj["placed_demand_ms"] = util::Json(r.placed_demand_ms);
-    obj["mean_occupancy"] = util::Json(r.mean_occupancy);
-    obj["alerting"] = util::Json(r.alerting);
-    obj["slo_alerts"] = util::Json(static_cast<double>(r.slo_alerts));
-    rollups.push_back(util::Json(std::move(obj)));
-  }
-  fleet["shard_rollups"] = util::Json(std::move(rollups));
 
   util::Json::Array session_array;
   for (const SessionSnapshot& s : sessions) {
     util::Json::Object obj;
     obj["handle"] = util::Json(static_cast<double>(s.handle.id));
     obj["gen"] = util::Json(static_cast<double>(s.handle.gen));
-    obj["shard"] = util::Json(s.shard);
     obj["name"] = util::Json(s.name);
     obj["state"] = util::Json(to_string(s.state));
     obj["weight"] = util::Json(s.weight);
@@ -951,6 +815,10 @@ std::string FleetSnapshot::to_json() const {
   doc["fleet"] = util::Json(std::move(fleet));
   doc["sessions"] = util::Json(std::move(session_array));
   return util::Json(std::move(doc)).dump();
+}
+
+std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config) {
+  return std::make_unique<Fleet>(config);
 }
 
 }  // namespace mvs::fleet

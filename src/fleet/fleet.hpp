@@ -1,5 +1,5 @@
 #pragma once
-// mvs::fleet — single-shard serving runtime (one FleetApi implementation).
+// mvs::fleet — the serving runtime (the FleetApi implementation).
 //
 // Hosts many concurrent runtime::Pipeline sessions (independent multi-view
 // deployments) over ONE shared util::ThreadPool and one shared simulated
@@ -36,13 +36,11 @@
 // a high-weight session's SLO — deferred task slices are re-injected into
 // the owner's next submission, so attribution stays conservation-exact.
 //
-// Sessions are addressed by migration-stable SessionHandle values (see
-// handle.hpp); the raw internal ids never leave this class. As one shard
-// of a ShardedFleet the fleet runs on the plane's shared pool, exposes its
-// per-tick merge cells (last_plan) to the second merge level, and hands
-// whole sessions over via detach()/attach() — the SessionRecord carries
-// every stat, the carryover debt, and the synthetic/pipeline state, so
-// migration conserves per-session frame counts and attributed busy exactly.
+// Sessions are addressed by SessionHandle values (see handle.hpp); the raw
+// internal ids never leave this class. A tick costs time linear in the
+// sessions it steps: handle calls are one table load, the roster stays
+// sorted by id (ids are issued only at admission), and the per-session
+// rollup walks the arbiter's shares with one cursor.
 //
 // A fleet of one unscaled full-rate session with the ideal transport
 // reproduces a standalone Pipeline::run bit-identically (guarded by
@@ -68,14 +66,11 @@
 
 namespace mvs::fleet {
 
-/// Everything one hosted session owns — the migration unit. A Fleet hands
-/// the whole record to ShardedFleet on detach(); stats, carryover debt,
-/// degrade state, and the pipeline/synthetic source travel with it, which
-/// is what makes migration conservation-exact (nothing is rebuilt or
-/// reset on the target shard).
+/// Everything one hosted session owns: spec, firing pattern, degrade
+/// state, the pipeline or synthetic source, carryover debt and stats.
 struct SessionRecord {
-  int id = -1;           ///< internal id, local to the hosting Fleet
-  SessionHandle handle;  ///< hosting fleet's handle (reissued on attach)
+  int id = -1;           ///< internal id, issued in admission order
+  SessionHandle handle;
   SessionSpec spec;
   SessionState state = SessionState::kActive;
   int fps = 0;           ///< resolved native rate (base rate when spec.fps==0)
@@ -89,25 +84,15 @@ struct SessionRecord {
   std::unique_ptr<SyntheticSource> synth;
   std::vector<gpu::DeviceProfile> devices;
   double static_demand_ms = 0.0;
-  /// Static per-base-period load this session contributes to shard
-  /// placement accounting (frozen at admission; added/removed on
-  /// admit/evict/detach/attach so the aggregate stays incremental-exact).
-  double placement_demand_ms = 0.0;
   /// Batch-split debt: tasks deferred to this session's next stepped
   /// submission, per camera.
   std::map<int, std::vector<geom::SizeClassId>> carryover;
-
-  /// Shard the session migrated FROM most recently (-1 = never migrated).
-  /// Travels with the record so post-migration trace events keep their
-  /// provenance (test_sharded_fleet.MigratedSessionTraceAttribution).
-  int migrated_from = -1;
 
   long frames = 0;
   long deferred_ticks = 0;
   long slo_violations = 0;
   /// Per-session SLO burn-rate monitor (DESIGN.md §14); a frame whose
-  /// latency exceeds the effective SLO is one bad event. Lives in the
-  /// record so migration carries the window state with the session.
+  /// latency exceeds the effective SLO is one bad event.
   BurnMonitor burn;
   long slo_alerts = 0;  ///< raise edges over the session's lifetime
   util::SampleSet latency_ms;       ///< per-frame attributed + queueing
@@ -121,9 +106,6 @@ struct SessionRecord {
 class Fleet : public FleetApi {
  public:
   explicit Fleet(const FleetConfig& config = {});
-  /// Shard embedding: run on `shared_pool` instead of owning one
-  /// (config.threads is ignored). The pool must outlive the fleet.
-  Fleet(const FleetConfig& config, util::ThreadPool* shared_pool);
   ~Fleet() override;
 
   Fleet(const Fleet&) = delete;
@@ -167,49 +149,16 @@ class Fleet : public FleetApi {
 
   void attach_trace(runtime::TraceRecorder* trace) override;
 
-  util::ThreadPool& pool() { return *pool_; }
-
-  // ---- Shard-plane hooks (used by ShardedFleet; harmless standalone) ----
-
-  /// Grow the wheel so `fps` divides it (no-op when it already does). The
-  /// sharded plane calls this on EVERY shard before any admit, keeping all
-  /// wheels equal — the invariant that makes migration cadence-exact.
-  void ensure_wheel(int fps);
-
-  /// The last step()'s merged plan (merge cells, busy, shares). Valid
-  /// after the first step; the second merge level reads cells from here.
+  /// The last step()'s merged plan (shares, merge cells, busy). Valid
+  /// after the first step.
   const TickPlan& last_plan() const { return plan_scratch_; }
 
-  /// Σ placement_demand_ms over live sessions (O(1) placement load).
-  double placed_demand_ms() const { return placed_demand_ms_; }
-
-  /// Shard-level burn monitor state for the plane's ShardRollup.
-  bool burn_alerting() const { return shard_burn_.alerting(); }
-  long burn_alerts() const { return shard_slo_alerts_; }
-
-  /// Remove a live (active or paused) session wholesale for migration.
-  /// Its handle on THIS fleet is retired (the caller-facing identity lives
-  /// in the ShardedFleet directory). nullptr + *status on a bad handle or
-  /// an evicted session.
-  std::unique_ptr<SessionRecord> detach(SessionHandle handle,
-                                        FleetStatus* status = nullptr);
-
-  /// Adopt a detached session under a fresh local id and handle. Requires
-  /// an equal wheel rate (ensure_wheel keeps it so); the session's period,
-  /// phase, stats, and carryover debt continue unchanged.
-  SessionHandle attach(std::unique_ptr<SessionRecord> record);
-
-  /// Pick the migration victim a rebalance scan would move: the ACTIVE
-  /// session with the smallest placement demand (ties: lowest internal id,
-  /// i.e. longest-served first stays put last). Invalid handle when none.
-  SessionHandle pick_migration_victim() const;
-
  private:
+  using Roster = std::vector<std::unique_ptr<SessionRecord>>;
+  /// First roster entry with id >= `id` (the roster is sorted by id).
+  Roster::iterator roster_pos(int id);
+  /// Session by internal id, or nullptr once released.
   SessionRecord* find(int id);
-  const SessionRecord* find(int id) const;
-  SessionRecord* find(SessionHandle handle, FleetStatus* status = nullptr);
-  const SessionRecord* find(SessionHandle handle,
-                            FleetStatus* status = nullptr) const;
   /// Deterministic static demand estimate for a candidate deployment.
   /// Pool-width-aware (a class's per-frame cost is divided by its current
   /// device count), frame-policy-aware (the partial-task term scales by
@@ -236,18 +185,15 @@ class Fleet : public FleetApi {
   /// session is already fully degraded. Shared by the readmit high-water
   /// branch and the burn_degrade alert trigger.
   bool apply_degrade_rung(double value);
-  void record(runtime::TraceEventType type, int session_id, double value,
-              int migrated_from = -1) {
-    runtime::emit(trace_, {ticks_, session_id, type, 0, value,
-                           cfg_.shard_index, migrated_from});
+  void record(runtime::TraceEventType type, int session_id, double value) {
+    runtime::emit(trace_, {ticks_, session_id, type, 0, value});
   }
 
   FleetConfig cfg_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;  ///< null when shared
-  util::ThreadPool* pool_;
+  std::unique_ptr<util::ThreadPool> pool_;
   GpuArbiter arbiter_;
-  std::vector<std::unique_ptr<SessionRecord>> sessions_;
-  HandleTable handles_;  ///< entry payload a = internal session id
+  Roster sessions_;  ///< sorted by id: ids are issued only at admission
+  HandleTable handles_;
   runtime::TraceRecorder* trace_ = nullptr;
   std::map<std::string, std::vector<gpu::DeviceProfile>> probe_cache_;
 
@@ -257,7 +203,6 @@ class Fleet : public FleetApi {
   int next_id_ = 0;
   int admitted_ = 0;
   int live_sessions_ = 0;
-  double placed_demand_ms_ = 0.0;
   int rejected_ = 0;
   int evicted_ = 0;
   int readmitted_ = 0;
@@ -271,22 +216,13 @@ class Fleet : public FleetApi {
   /// Re-admission window accumulator (busy normalized to base periods).
   double window_busy_ms_ = 0.0;
   int window_ticks_ = 0;
-  /// Shard-level burn monitor: one bad event per tick whose shared busy
-  /// exceeds the SLO. Session + shard raise/clear edges tally below.
-  BurnMonitor shard_burn_;
-  long shard_slo_alerts_ = 0;
+  /// Plane-level burn monitor: one bad event per tick whose shared busy
+  /// exceeds the SLO. Session + plane raise/clear edges tally below.
+  BurnMonitor plane_burn_;
   long slo_alerts_raised_ = 0;
   long slo_alerts_cleared_ = 0;
   util::SampleSet tick_busy_ms_;
   util::SampleSet queue_depth_;
-
-  /// Obs metric keys prepared once (shard-prefixed when embedded) so the
-  /// obs-enabled tick path does not build strings per tick.
-  struct ObsKeys {
-    std::string ticks, frames, deferred, shared_batches, isolated_batches,
-        batch_splits, tick_busy_ms, queue_depth, sessions, session_prefix;
-  };
-  ObsKeys obs_;
 
   /// step() working buffers reused across ticks so a warm fleet tick
   /// allocates nothing on the serving path (DESIGN.md §11).

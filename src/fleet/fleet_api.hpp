@@ -1,17 +1,15 @@
 #pragma once
 // mvs::fleet public serving interface.
 //
-// FleetApi is the one surface callers program against: a single-shard
-// Fleet and a sharded ShardedFleet implement it identically, so examples,
-// benches, and the CLI are written once and scale from one session to ten
-// thousand by flipping FleetConfig::shards. Sessions are addressed by
-// opaque SessionHandle values (see handle.hpp) that stay valid across
-// live migration between shards; handle misuse after release() returns a
-// typed FleetStatus instead of silently addressing a reused slot.
+// FleetApi is the one surface callers program against; Fleet (fleet.hpp)
+// implements it and serves from one session to tens of thousands.
+// Sessions are addressed by opaque SessionHandle values (see handle.hpp);
+// handle misuse after release() returns a typed FleetStatus instead of
+// silently addressing a reused slot.
 //
 // This header also owns the fleet vocabulary types — admission result,
-// rollup snapshots — shared by both implementations; the config types are
-// aliases of the runtime::config ones.
+// rollup snapshots; the config types are aliases of the runtime::config
+// ones.
 
 #include <cstdint>
 #include <memory>
@@ -52,14 +50,12 @@ struct AdmitResult {
   bool masks_tightened = false;  ///< degraded: solo-coverage adoption only
   bool rate_halved = false;      ///< degraded: runs at half its native rate
   double projected_ms = 0.0;     ///< fleet demand estimate at decision time
-  int shard = -1;                ///< placement (0 for a standalone Fleet)
   std::string reason;
 };
 
 /// Per-session rollup (stats snapshot).
 struct SessionSnapshot {
-  SessionHandle handle;  ///< the caller-facing identity (migration-stable)
-  int shard = 0;         ///< hosting shard (0 for a standalone Fleet)
+  SessionHandle handle;  ///< the caller-facing identity
   std::string name;
   SessionState state = SessionState::kActive;
   double weight = 1.0;
@@ -85,42 +81,22 @@ struct SessionSnapshot {
   double slow_burn = 0.0;    ///< burn rate over the slow window
 };
 
-/// Per-shard rollup inside a sharded snapshot (empty for a plain Fleet).
-struct ShardRollup {
-  int index = 0;
-  int sessions = 0;  ///< live (non-evicted) sessions hosted
-  long frames = 0;   ///< frames run across the shard's sessions
-  double shared_busy_ms = 0.0;
-  double placed_demand_ms = 0.0;  ///< static admission-demand load
-  double mean_occupancy = 0.0;
-  bool alerting = false;  ///< shard-level burn monitor inside an episode
-  long slo_alerts = 0;    ///< shard-level raise edges
-};
-
 /// Fleet-level rollup.
 struct FleetSnapshot {
   long ticks = 0;
   int wheel_hz = 0;  ///< current tick-wheel rate (lcm of admitted rates)
-  int shards = 1;
   int admitted = 0, rejected = 0, evicted = 0;
   int readmitted = 0;       ///< degrade-ladder rungs restored
   int redegraded = 0;       ///< degrade-ladder rungs re-applied under load
-  long migrations = 0;      ///< sessions moved between shards (sharded only)
   long batch_splits = 0;    ///< arbiter batch splits across all ticks
   long shared_batches = 0, isolated_batches = 0;
   double shared_busy_ms = 0.0, isolated_busy_ms = 0.0;
   double total_queue_ms = 0.0;  ///< summed device-pool queueing delay
-  /// Second merge level (sharded only): batches / busy the fleet WOULD
-  /// additionally save if each device class's per-shard residual batches
-  /// were topped up across shards every tick (0 with one shard — the
-  /// shard-of-one identity).
-  long cross_batches_saved = 0;
-  double cross_busy_saved_ms = 0.0;
   /// Transport fault rollups summed over all sessions (lossy only).
   long total_retries = 0;
   long total_dropped_msgs = 0;
   /// SLO burn-rate alerting rollup (0 when monitoring is disabled).
-  long slo_alerts_raised = 0;   ///< raise edges (sessions + shards)
+  long slo_alerts_raised = 0;   ///< raise edges (sessions + plane)
   long slo_alerts_cleared = 0;  ///< clear edges
   int alerting_sessions = 0;    ///< sessions currently alerting
   /// Mean per-tick GPU busy time / tick period; > 1 means saturated.
@@ -128,25 +104,21 @@ struct FleetSnapshot {
   double p95_tick_busy_ms = 0.0;
   /// Mean sessions deferred per tick (dispatch queue depth).
   double mean_queue_depth = 0.0;
-  /// Accelerator pools by class name (count >= 1 per class in use;
-  /// sharded: per-shard replicas, so counts are per shard).
+  /// Accelerator pools by class name (count >= 1 per class in use).
   std::vector<std::pair<std::string, int>> device_pools;
-  std::vector<ShardRollup> shard_rollups;  ///< one per shard (sharded only)
   std::vector<SessionSnapshot> sessions;
 
   /// JSON document of the whole rollup (fleet object + sessions array).
   std::string to_json() const;
 };
 
-/// The serving-plane interface. Implementations: Fleet (one shard,
-/// fleet.hpp) and ShardedFleet (N shards + migration, sharded_fleet.hpp).
+/// The serving-plane interface, implemented by Fleet (fleet.hpp).
 class FleetApi {
  public:
   virtual ~FleetApi() = default;
 
   /// Admission-controlled session creation; see Fleet::admit for the
-  /// degrade-ladder semantics. Sharded: O(1) capacity check, least-loaded
-  /// shard placement.
+  /// degrade-ladder semantics.
   virtual AdmitResult admit(const SessionSpec& spec) = 0;
 
   /// Lifecycle transitions. Evictions are final (kInvalidState to evict
@@ -168,11 +140,11 @@ class FleetApi {
       SessionHandle handle, FleetStatus* status = nullptr) const = 0;
 
   /// Grow (delta > 0) or shrink (delta < 0) a device class's pool at
-  /// runtime; pools never drop below one device. Sharded: applies to every
-  /// shard's replica of the class. Returns the new per-shard pool size.
+  /// runtime; pools never drop below one device. Returns the new pool
+  /// size.
   virtual int scale_devices(const std::string& device_class, int delta) = 0;
 
-  /// Advance one wheel tick (all shards in lockstep when sharded).
+  /// Advance one wheel tick.
   virtual void step() = 0;
 
   virtual long ticks() const = 0;
@@ -181,7 +153,7 @@ class FleetApi {
   virtual FleetSnapshot snapshot() const = 0;
 
   /// Record session lifecycle events (admit/reject/evict/pause/resume/
-  /// defer/readmit/migrate) plus device_scale and batch_split into
+  /// defer/readmit) plus device_scale and batch_split into
   /// `trace`; pass nullptr to detach.
   virtual void attach_trace(runtime::TraceRecorder* trace) = 0;
 
@@ -190,9 +162,7 @@ class FleetApi {
   }
 };
 
-/// Build the serving plane the config asks for: a single Fleet when
-/// config.shards <= 1 (bit-identical to the pre-sharding runtime), a
-/// ShardedFleet otherwise.
+/// Build the serving plane the config asks for (a Fleet).
 std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config);
 
 }  // namespace mvs::fleet

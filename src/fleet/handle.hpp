@@ -1,13 +1,10 @@
 #pragma once
-// Opaque, migration-stable session identity (mvs::fleet).
+// Opaque session identity (mvs::fleet).
 //
-// A SessionHandle names a hosted session independently of WHERE it is
-// hosted: the id is a slot in the issuing fleet's handle table and the
-// generation counts how many tenants have occupied that slot. Moving a
-// session between shards (ShardedFleet migration) changes neither field —
-// the handle a caller got from admit() keeps working across any number of
-// rebalances. Releasing an evicted session recycles its slot under a
-// bumped generation, so a caller holding the OLD handle gets a typed
+// A SessionHandle names a hosted session: the id is a slot in the fleet's
+// handle table and the generation counts how many tenants have occupied
+// that slot. Releasing an evicted session recycles its slot under a bumped
+// generation, so a caller holding the OLD handle gets a typed
 // kStaleHandle error instead of silently addressing the slot's new tenant
 // (the classic reused-id bug the raw-int API could not detect).
 
@@ -46,28 +43,19 @@ enum class FleetStatus {
 
 const char* to_string(FleetStatus status);
 
-/// Slot table mapping live handles to an implementation payload (the
-/// fleet's internal session id, or a shard directory entry). Slots are
-/// allocated in admission order and recycled LIFO through a free list;
-/// every reuse bumps the generation so retired handles stay detectably
-/// stale forever (gen wraps after 2^32 - 1 tenants of one slot, far beyond
-/// any serving horizon).
+struct SessionRecord;
+
+/// Slot table mapping live handles to their session records, so every
+/// handle-addressed call is one indexed load. Slots are allocated in
+/// admission order and recycled LIFO through a free list; every reuse bumps
+/// the generation so retired handles stay detectably stale forever (gen
+/// wraps after 2^32 - 1 tenants of one slot, far beyond any serving
+/// horizon).
 class HandleTable {
  public:
-  struct Entry {
-    std::uint32_t gen = 0;
-    bool live = false;  ///< false once released (slot is in the free list)
-    /// Payload words, owned by the embedding fleet. `a` is the internal
-    /// session id (Fleet) or shard index (ShardedFleet); `b`/`c` hold the
-    /// inner handle for shard directories.
-    std::int64_t a = 0;
-    std::uint64_t b = 0;
-    std::uint32_t c = 0;
-  };
-
-  /// Allocate a slot (reusing the most recently released one first) and
-  /// return its handle; the entry's payload is default-initialized.
-  SessionHandle issue() {
+  /// Allocate a slot for `session` (reusing the most recently released one
+  /// first) and return its handle.
+  SessionHandle issue(SessionRecord* session) {
     std::size_t slot;
     if (!free_.empty()) {
       slot = free_.back();
@@ -78,48 +66,38 @@ class HandleTable {
     }
     Entry& e = entries_[slot];
     ++e.gen;
-    e.live = true;
-    e.a = 0;
-    e.b = 0;
-    e.c = 0;
+    e.session = session;
     return {static_cast<std::uint64_t>(slot), e.gen};
   }
 
-  /// Live entry for `h`, or nullptr with *status set to the typed error.
-  Entry* find(SessionHandle h, FleetStatus* status = nullptr) {
-    return const_cast<Entry*>(
-        static_cast<const HandleTable*>(this)->find(h, status));
-  }
-  const Entry* find(SessionHandle h, FleetStatus* status = nullptr) const {
+  /// The session `h` names, or nullptr with *status set to the typed error.
+  SessionRecord* find(SessionHandle h, FleetStatus* status = nullptr) const {
     if (h.id >= entries_.size()) {
       if (status) *status = FleetStatus::kUnknownSession;
       return nullptr;
     }
     const Entry& e = entries_[static_cast<std::size_t>(h.id)];
-    if (!e.live || e.gen != h.gen) {
+    if (!e.session || e.gen != h.gen) {
       if (status) *status = FleetStatus::kStaleHandle;
       return nullptr;
     }
     if (status) *status = FleetStatus::kOk;
-    return &e;
+    return e.session;
   }
 
   /// Retire a live handle's slot into the free list; the next issue() from
   /// this slot carries gen + 1, making `h` permanently stale.
   void release(SessionHandle h) {
-    Entry* e = find(h);
-    if (!e) return;
-    e->live = false;
+    if (!find(h)) return;
+    entries_[static_cast<std::size_t>(h.id)].session = nullptr;
     free_.push_back(static_cast<std::size_t>(h.id));
   }
 
-  std::size_t live_count() const {
-    std::size_t n = 0;
-    for (const Entry& e : entries_) n += e.live;
-    return n;
-  }
-
  private:
+  struct Entry {
+    std::uint32_t gen = 0;
+    SessionRecord* session = nullptr;  ///< null once released
+  };
   std::vector<Entry> entries_;
   std::vector<std::size_t> free_;
 };

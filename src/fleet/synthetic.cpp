@@ -9,7 +9,7 @@ namespace {
 
 /// splitmix64: the standard stateless 64-bit mixer — every (seed, camera,
 /// frame, draw) tuple maps to an independent uniform word, which is what
-/// keeps synthetic work a pure function of position (migration-stable).
+/// keeps synthetic work a pure function of position.
 std::uint64_t mix(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -7,15 +7,12 @@
 // full-frame inspections on the pipeline's key-frame cadence) against the
 // scenario's real device profiles, while skipping scenario playback,
 // association training, and per-frame imaging entirely. This is what makes
-// 1k-10k-session fleets constructible in milliseconds — dispatch,
-// cross-session batching, attribution, and migration all behave exactly as
-// they do for real sessions, because the arbiter only ever sees
-// CameraGpuWork.
+// 1k-16k-session fleets constructible in milliseconds — dispatch,
+// cross-session batching and attribution all behave exactly as they do for
+// real sessions, because the arbiter only ever sees CameraGpuWork.
 //
-// Determinism and migration stability: the work for (seed, camera, frame)
-// is a pure function, and the only mutable state is the frame counter —
-// which travels with the session record on shard migration, so a migrated
-// session continues its exact task sequence on the target shard.
+// Determinism: the work for (seed, camera, frame) is a pure function, and
+// the only mutable state is the frame counter.
 
 #include <cstdint>
 #include <vector>

@@ -56,7 +56,7 @@ inline constexpr int kSegmentCount = 7;
 
 const char* to_string(Segment segment);
 
-/// Causal frame id: a 32-bit stream (session/shard encoding, 0 for a
+/// Causal frame id: a 32-bit stream (fleet session id + 1, 0 for a
 /// standalone runner) in the high word, the frame index in the low word.
 inline std::uint64_t causal_id(std::uint32_t stream, std::uint64_t frame) {
   return (static_cast<std::uint64_t>(stream) << 32) |

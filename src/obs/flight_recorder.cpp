@@ -129,7 +129,6 @@ std::string FlightRecorder::build_document(const std::string& reason) const {
   Json::Object root;
   root.emplace("schema", Json("mvs-postmortem-v1"));
   root.emplace("reason", Json(reason));
-  root.emplace("shard", Json(cfg_.shard));
   root.emplace("frames_seen", Json(static_cast<double>(fh)));
   root.emplace("frames", Json(std::move(frames)));
   root.emplace("events", Json(std::move(events)));

@@ -3,7 +3,7 @@
 //
 // A fixed-size lock-free ring of recent frame attributions plus a smaller
 // ring of noteworthy scheduler events. Producers (the paced runtime, the
-// fleet rollup loop, shard steps running concurrently) append with a ticket
+// fleet rollup loop, sessions stepping concurrently) append with a ticket
 // counter + per-slot sequence number — every slot field is a relaxed
 // atomic bracketed by an odd/even seq, so appends never lock, never
 // allocate, and concurrent dump snapshots simply skip slots caught
@@ -43,8 +43,6 @@ class FlightRecorder {
     /// automatic burst dumps.
     int miss_window = 32;
     int miss_threshold = 8;
-    /// Shard identity stamped into the document (-1 = standalone).
-    int shard = -1;
   };
 
   /// Cold path; not safe concurrently with note_frame/note_event.

@@ -20,26 +20,6 @@ void atomic_fold(std::atomic<double>& slot, double v, Op better) {
   }
 }
 
-// Matches "fleet.shard.<N>.<rest>"; on success writes the shard index and
-// the merged name "fleet.<rest>".
-bool parse_shard_name(const std::string& name, int* shard,
-                      std::string* merged) {
-  constexpr std::string_view kPrefix = "fleet.shard.";
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  std::size_t i = kPrefix.size();
-  std::size_t digits = 0;
-  int n = 0;
-  while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
-    n = n * 10 + (name[i] - '0');
-    ++i;
-    ++digits;
-  }
-  if (digits == 0 || i >= name.size() || name[i] != '.') return false;
-  *shard = n;
-  *merged = "fleet." + name.substr(i + 1);
-  return true;
-}
-
 }  // namespace
 
 int Histogram::bucket_index(double v) {
@@ -167,7 +147,8 @@ void MetricsRegistry::reset() {
 
 namespace {
 
-// Snapshot of one histogram, also the accumulator for shard merging.
+// One consistent snapshot of a histogram (count, range and buckets read
+// once), exported as a JSON entry.
 struct HistSnapshot {
   long long count = 0;
   double sum = 0.0;
@@ -175,17 +156,7 @@ struct HistSnapshot {
   double max = -std::numeric_limits<double>::infinity();
   std::array<long long, Histogram::kBucketCount> buckets{};
 
-  void fold(const HistSnapshot& other) {
-    count += other.count;
-    sum += other.sum;
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-    for (int i = 0; i < Histogram::kBucketCount; ++i)
-      buckets[static_cast<std::size_t>(i)] +=
-          other.buckets[static_cast<std::size_t>(i)];
-  }
-
-  util::Json to_entry(int shard) const {
+  util::Json to_entry() const {
     const bool empty = count == 0;
     util::Json::Object entry;
     entry.emplace("count", util::Json(static_cast<double>(count)));
@@ -198,7 +169,6 @@ struct HistSnapshot {
                                                       buckets.data(), count, 95.0, min, max)));
     entry.emplace("p99", util::Json(empty ? 0.0 : Histogram::percentile_from_counts(
                                                       buckets.data(), count, 99.0, min, max)));
-    if (shard >= 0) entry.emplace("shard", util::Json(shard));
     util::Json::Array out_buckets;
     for (int i = 0; i < Histogram::kBucketCount; ++i) {
       if (buckets[static_cast<std::size_t>(i)] == 0) continue;
@@ -232,50 +202,15 @@ HistSnapshot snapshot_histogram(const Histogram& h) {
 
 std::string MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  int shard = 0;
-  std::string merged_name;
-
-  // Per-shard metric names ("fleet.shard.<N>.<rest>") additionally roll up
-  // into a synthesized merged entry under the flat name ("fleet.<rest>"),
-  // unless that name is already registered. At shards=1 the merged entry is
-  // bit-equal to what a flat Fleet would have exported (same counts, same
-  // percentile algorithm via percentile_from_counts, no "shard" key); session
-  // names that collide across shards simply sum (DESIGN.md §14).
   util::Json::Object counters;
-  std::map<std::string, long long> merged_counters;
-  for (const auto& [name, c] : counters_) {
+  for (const auto& [name, c] : counters_)
     counters.emplace(name, util::Json(static_cast<double>(c->value())));
-    if (parse_shard_name(name, &shard, &merged_name))
-      merged_counters[merged_name] += c->value();
-  }
-  for (auto& [name, v] : merged_counters)
-    if (counters_.find(name) == counters_.end())
-      counters.emplace(name, util::Json(static_cast<double>(v)));
-
   util::Json::Object gauges;
-  std::map<std::string, double> merged_gauges;
-  for (const auto& [name, g] : gauges_) {
+  for (const auto& [name, g] : gauges_)
     gauges.emplace(name, util::Json(g->value()));
-    if (parse_shard_name(name, &shard, &merged_name))
-      merged_gauges[merged_name] += g->value();
-  }
-  for (auto& [name, v] : merged_gauges)
-    if (gauges_.find(name) == gauges_.end()) gauges.emplace(name, util::Json(v));
-
   util::Json::Object hists;
-  std::map<std::string, HistSnapshot> merged_hists;
-  for (const auto& [name, h] : histograms_) {
-    const HistSnapshot snap = snapshot_histogram(*h);
-    int entry_shard = -1;
-    if (parse_shard_name(name, &shard, &merged_name)) {
-      entry_shard = shard;
-      merged_hists[merged_name].fold(snap);
-    }
-    hists.emplace(name, snap.to_entry(entry_shard));
-  }
-  for (auto& [name, snap] : merged_hists)
-    if (histograms_.find(name) == histograms_.end())
-      hists.emplace(name, snap.to_entry(-1));
+  for (const auto& [name, h] : histograms_)
+    hists.emplace(name, snapshot_histogram(*h).to_entry());
 
   util::Json::Object root;
   root.emplace("counters", util::Json(std::move(counters)));

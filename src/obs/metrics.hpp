@@ -67,9 +67,8 @@ class Histogram {
   double percentile(double p) const;
 
   // The same nearest-rank estimate over explicit bucket counts (length
-  // kBucketCount) — percentile() delegates here, and the shard-merged
-  // rollup in MetricsRegistry::to_json() uses it on summed buckets so a
-  // one-shard merge is bit-equal to the flat histogram's own percentile.
+  // kBucketCount) — percentile() delegates here, and
+  // MetricsRegistry::to_json() uses it on one consistent bucket snapshot.
   static double percentile_from_counts(const long long* counts, long long n,
                                        double p, double min, double max);
 

@@ -295,12 +295,6 @@ template <> Table<FleetConfig> table() {
        "let the arbiter split an over-full batch across two ticks"},
       {"dispatch_overhead_ms", &C::dispatch_overhead_ms, at_least(0), {},
        "dispatch-overhead-ms", "X", "fixed per-batch dispatch cost (ms)"},
-      {"shards", &C::shards, at_least(1), {}, "shards", "N",
-       "serving-plane shards, each with its own arbiter and wheel"},
-      {"shard_capacity", &C::shard_capacity, at_least(0)},
-      {"rebalance_interval", &C::rebalance_interval, at_least(0), {},
-       "rebalance-interval", "N", "ticks between migration scans (0 = off)"},
-      {"rebalance_high_water", &C::rebalance_high_water, above(1)},
       {"burn_error_budget", &C::burn_error_budget, kUnit},
       {"burn_fast_window", &C::burn_fast_window, closed(1, kMaxBurnWindow)},
       {"burn_slow_window", &C::burn_slow_window, closed(1, kMaxBurnWindow)},

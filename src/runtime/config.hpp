@@ -85,8 +85,7 @@ struct FleetConfig {
   double frame_period_ms = 100.0;
   DispatchPolicy dispatch = DispatchPolicy::kRoundRobin;
   /// Shared worker pool width (0 = hardware concurrency). All sessions'
-  /// per-camera parallelism — and, sharded, all shards — run on this one
-  /// pool.
+  /// per-camera parallelism runs on this one pool.
   int threads = 0;
   /// Allow the admission controller to degrade instead of rejecting.
   bool allow_degrade = true;
@@ -107,32 +106,16 @@ struct FleetConfig {
   /// Fixed per-batch dispatch cost (ms) charged by the device pools; see
   /// TickContext::dispatch_overhead_ms. 0 = ideal overhead-free arbiter.
   double dispatch_overhead_ms = 0.0;
-  /// Serving-plane width (make_fleet: 1 = single Fleet, > 1 = ShardedFleet
-  /// with this many shards, each with its own arbiter and tick wheel).
-  int shards = 1;
-  /// Max live sessions per shard; 0 = unbounded. The sharded admission
-  /// check against this is O(1) (DESIGN.md §13).
-  int shard_capacity = 0;
-  /// Ticks between sharded rebalance scans; 0 disables background
-  /// migration. Each scan moves at most ONE session off the hottest shard
-  /// (hysteresis, like readmit_scan).
-  int rebalance_interval = 0;
-  /// A scan migrates only when the hottest shard's windowed busy exceeds
-  /// this multiple of the mean shard busy (> 1; the hysteresis band).
-  double rebalance_high_water = 1.25;
   /// SLO burn-rate monitoring (DESIGN.md §14): tolerated per-tick
-  /// SLO-violation ratio. 0 disables per-session and per-shard monitors.
+  /// SLO-violation ratio. 0 disables the per-session and plane monitors.
   double burn_error_budget = 0.0;
   int burn_fast_window = 16;   ///< ticks; acute-burn window
   int burn_slow_window = 64;   ///< ticks; confirmation window
   double burn_raise = 2.0;     ///< raise at fast AND slow burn >= this
   double burn_clear = 1.0;     ///< clear at fast burn < this (hysteresis)
-  /// A shard-level raise edge immediately applies one degrade rung to the
+  /// A plane-level raise edge immediately applies one degrade rung to the
   /// heaviest restorable session (alerting coupled to mitigation).
   bool burn_degrade = false;
-  /// Internal: which shard of a ShardedFleet this Fleet is (-1 =
-  /// standalone). Namespaces the obs metric keys; not a config-file knob.
-  int shard_index = -1;
 };
 
 /// Largest burn-rate window (ticks) a fleet::BurnWindow ring holds.

@@ -30,10 +30,9 @@ constexpr TypeInfo kTypes[] = {
     {"session_pause", true},      {"session_resume", true},
     {"session_defer", true},      {"session_readmit", true},
     {"device_scale", true},       {"batch_split", true},
-    {"session_redegrade", true},  {"session_migrate", true},
-    {"rt_drop", true},            {"rt_supersede", true},
-    {"rt_deadline_miss", true},   {"slo_alert_raise", true},
-    {"slo_alert_clear", true},
+    {"session_redegrade", true},  {"rt_drop", true},
+    {"rt_supersede", true},       {"rt_deadline_miss", true},
+    {"slo_alert_raise", true},    {"slo_alert_clear", true},
 };
 static_assert(std::size(kTypes) == kTypeCount,
               "one kTypes entry per TraceEventType");
@@ -65,8 +64,6 @@ util::Json event_json(const TraceEvent& e) {
   obj["type"] = util::Json(to_string(e.type));
   obj["object"] = util::Json(static_cast<double>(e.object_key));
   obj["value"] = util::Json(e.value);
-  if (e.shard >= 0) obj["shard"] = util::Json(e.shard);
-  if (e.migrated_from >= 0) obj["migrated_from"] = util::Json(e.migrated_from);
   return util::Json(std::move(obj));
 }
 

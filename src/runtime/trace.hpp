@@ -38,7 +38,6 @@ enum class TraceEventType {
   kDeviceScale,    ///< device pool grown/shrunk; value = new device count
   kBatchSplit,     ///< arbiter split an over-full batch; value = deferred tasks
   kSessionRedegrade,  ///< sustained pressure re-applied a degrade rung
-  kSessionMigrate,    ///< session moved between shards; value = target shard
   // Streaming-perception runtime events (mvs::rt). `frame` is the arrival's
   // evaluation-frame index and `value` the frame's age (ms past capture) at
   // the decision point.
@@ -46,7 +45,7 @@ enum class TraceEventType {
   kRtSupersede,     ///< a newer arrival displaced a still-queued stale frame
   kRtDeadlineMiss,  ///< a frame's result landed (or would land) past deadline
   // SLO burn-rate alerting (DESIGN.md §14). `value` = fast-window burn rate
-  // at the edge; `camera` the session id (-1 for a shard-level alert).
+  // at the edge; `camera` the session id (-1 for a plane-level alert).
   kSloAlertRaise,   ///< fast AND slow burn crossed the raise threshold
   kSloAlertClear,   ///< fast burn fell below the clear threshold
   kTraceEventTypeCount_,  ///< sentinel: number of event types (not an event)
@@ -60,8 +59,6 @@ struct TraceEvent {
   TraceEventType type = TraceEventType::kKeyFrame;
   std::uint64_t object_key = 0;  ///< object/track identity where applicable
   double value = 0.0;            ///< type-specific payload
-  int shard = -1;          ///< owning shard at the time of the event, -1 = n/a
-  int migrated_from = -1;  ///< source shard for post-migration session events
 };
 
 class TraceRecorder {

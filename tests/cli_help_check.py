@@ -23,7 +23,7 @@ FLAGS = {
     # fleet serving
     "fleet", "sessions", "slo-ms", "dispatch", "session-fps",
     "session-loss-rate", "scale-devices", "readmit-interval", "split-batches",
-    "dispatch-overhead-ms", "shards", "rebalance-interval", "synthetic",
+    "dispatch-overhead-ms", "synthetic",
     "fleet-json",
     # streaming perception
     "paced", "frame-period-ms", "deadline-ms", "late-policy",

@@ -1,6 +1,5 @@
 // mvs::obs v2 tests (DESIGN.md §14): critical-path latency attribution,
-// the SLO burn-rate monitor, the deadline-miss flight recorder, and the
-// shard-merged metrics exposition.
+// the SLO burn-rate monitor and the deadline-miss flight recorder.
 //
 // The attribution conservation contract — segments sum to the end-to-end
 // latency within 1e-6 ms — is asserted both on synthetic records and
@@ -316,70 +315,6 @@ TEST_F(CriticalPathTest, RecorderEventTailSurvivesDump) {
   EXPECT_EQ(events->as_array()[0].string_or("type", ""), "rt_drop");
   EXPECT_EQ(events->as_array()[0].number_or("tick", 0.0), 42.0);
   EXPECT_EQ(events->as_array()[1].number_or("session", -1.0), 3.0);
-}
-
-// ------------------------------------------------- shard-merged exposition --
-
-TEST(MergedExposition, OneShardMergeBitEqualToFlatEntry) {
-  // The merged rollup synthesized from "fleet.shard.0.<x>" must be
-  // bit-equal to the entry a flat Fleet registers directly under
-  // "fleet.<x>" for the same samples — counters, gauges and histogram
-  // percentiles alike (the merge reuses percentile_from_counts on the
-  // summed buckets, so this is exact, not approximate).
-  obs::MetricsRegistry flat, sharded;
-  const double samples[] = {0.5, 3.0, 17.2, 80.0, 1.6, 254.0, 9.9};
-  for (double v : samples) {
-    flat.histogram("fleet.tick_busy_ms").record(v);
-    sharded.histogram("fleet.shard.0.tick_busy_ms").record(v);
-  }
-  flat.counter("fleet.frames").add(123);
-  sharded.counter("fleet.shard.0.frames").add(123);
-  flat.gauge("fleet.sessions").set(4.0);
-  sharded.gauge("fleet.shard.0.sessions").set(4.0);
-
-  std::string err;
-  const std::optional<util::Json> fd =
-      util::Json::parse(flat.to_json(), &err);
-  const std::optional<util::Json> sd =
-      util::Json::parse(sharded.to_json(), &err);
-  ASSERT_TRUE(fd.has_value() && sd.has_value()) << err;
-
-  const util::Json* fh = fd->find("histograms")->find("fleet.tick_busy_ms");
-  const util::Json* sh = sd->find("histograms")->find("fleet.tick_busy_ms");
-  ASSERT_NE(fh, nullptr);
-  ASSERT_NE(sh, nullptr) << "merged rollup entry missing";
-  EXPECT_EQ(fh->dump(), sh->dump());
-  // The per-shard entry is still exposed, labeled with its shard.
-  const util::Json* per_shard =
-      sd->find("histograms")->find("fleet.shard.0.tick_busy_ms");
-  ASSERT_NE(per_shard, nullptr);
-  EXPECT_EQ(per_shard->number_or("shard", -1.0), 0.0);
-  EXPECT_EQ(fh->find("shard"), nullptr);
-  EXPECT_EQ(sh->find("shard"), nullptr);
-
-  EXPECT_EQ(sd->find("counters")->number_or("fleet.frames", -1.0), 123.0);
-  EXPECT_EQ(sd->find("gauges")->number_or("fleet.sessions", -1.0), 4.0);
-}
-
-TEST(MergedExposition, MultiShardMergeSumsAcrossShards) {
-  obs::MetricsRegistry reg;
-  reg.histogram("fleet.shard.0.tick_busy_ms").record(10.0);
-  reg.histogram("fleet.shard.0.tick_busy_ms").record(20.0);
-  reg.histogram("fleet.shard.1.tick_busy_ms").record(300.0);
-  reg.counter("fleet.shard.0.frames").add(5);
-  reg.counter("fleet.shard.1.frames").add(7);
-
-  std::string err;
-  const std::optional<util::Json> doc =
-      util::Json::parse(reg.to_json(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  const util::Json* merged =
-      doc->find("histograms")->find("fleet.tick_busy_ms");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->number_or("count", 0.0), 3.0);
-  EXPECT_EQ(merged->number_or("min", 0.0), 10.0);
-  EXPECT_EQ(merged->number_or("max", 0.0), 300.0);
-  EXPECT_EQ(doc->find("counters")->number_or("fleet.frames", -1.0), 12.0);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <random>
 
 #include "fleet/fleet.hpp"
 #include "gpu/batch_planner.hpp"
 #include "gpu/device_profile.hpp"
+#include "obs/obs.hpp"
 #include "policy/policy.hpp"
 #include "util/json.hpp"
 
@@ -40,6 +42,15 @@ double s2_static_demand_ms(int horizon = 10) {
          static_cast<double>(horizon);
 }
 
+SessionSpec synthetic_spec(const std::string& name, std::uint64_t seed) {
+  SessionSpec s;
+  s.name = name;
+  s.scenario = "S2";
+  s.synthetic = true;
+  s.pipeline.seed = seed;
+  return s;
+}
+
 runtime::CameraGpuWork work(std::vector<geom::SizeClassId> tasks,
                             bool full = false) {
   runtime::CameraGpuWork w;
@@ -71,6 +82,35 @@ TEST(Arbiter, LoneSubmissionMatchesPlanBatchesBitExactly) {
   EXPECT_EQ(plan.shared_batches, static_cast<long>(solo.batches.size()));
   EXPECT_EQ(plan.isolated_batches, plan.shared_batches);
   EXPECT_DOUBLE_EQ(plan.shared_busy_ms, solo.actual_latency_ms);
+}
+
+TEST(Arbiter, LoneSubmissionExactWithManyBatchesPerClass) {
+  // A lone submission is charged the plan-order running sum: EXPECT_EQ, not
+  // EXPECT_DOUBLE_EQ, against plan_batches and against its own schedule
+  // (zero queueing), also when several size classes each need several
+  // batches, where a per-class regrouping of the sum would round apart.
+  const gpu::DeviceProfile nano = gpu::jetson_nano();
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<int> cls(
+      0, static_cast<int>(nano.size_class_count()) - 1);
+  std::uniform_int_distribution<int> len(20, 120);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<geom::SizeClassId> tasks(static_cast<std::size_t>(len(rng)));
+    for (geom::SizeClassId& t : tasks) t = cls(rng);
+    const gpu::BatchPlan solo = gpu::plan_batches(tasks, nano);
+
+    GpuArbiter arbiter;
+    arbiter.begin_tick();
+    arbiter.submit(0, 0, nano, work(tasks));
+    const TickPlan plan = arbiter.plan_tick();
+    EXPECT_EQ(plan.shares[0].attributed_ms, solo.actual_latency_ms) << trial;
+    EXPECT_EQ(plan.shares[0].queue_ms, 0.0) << trial;
+    // With a dispatch overhead every batch costs overhead + latency; the
+    // lone schedule still chains exactly as the charge accumulates.
+    TickContext ctx;
+    ctx.dispatch_overhead_ms = 0.37;
+    EXPECT_EQ(arbiter.plan_tick(ctx).shares[0].queue_ms, 0.0) << trial;
+  }
 }
 
 TEST(Arbiter, FullFrameChargedExclusively) {
@@ -878,6 +918,36 @@ TEST(FleetLifecycle, ReleaseRecyclesTheSlotUnderABumpedGeneration) {
   EXPECT_EQ(fleet.pause(h), FleetStatus::kStaleHandle);
 }
 
+TEST(FleetLifecycle, TypedHandleErrors) {
+  // Every handle call answers a retired, foreign or default handle with a
+  // typed error, never by addressing another session.
+  Fleet fleet;
+  const SessionHandle h = fleet.admit(synthetic_spec("a", 600)).handle;
+  ASSERT_TRUE(h.valid());
+  fleet.run(3);
+
+  ASSERT_EQ(fleet.evict(h), FleetStatus::kOk);
+  ASSERT_EQ(fleet.release(h), FleetStatus::kOk);
+  FleetStatus status = FleetStatus::kOk;
+  EXPECT_EQ(fleet.evict(h), FleetStatus::kStaleHandle);
+  EXPECT_EQ(fleet.resume(h), FleetStatus::kStaleHandle);
+
+  // The recycled slot's new tenant is invisible through the old handle.
+  const SessionHandle next = fleet.admit(synthetic_spec("b", 601)).handle;
+  EXPECT_EQ(next.id, h.id);
+  EXPECT_EQ(next.gen, h.gen + 1);
+  EXPECT_EQ(fleet.pause(h), FleetStatus::kStaleHandle);
+  EXPECT_EQ(fleet.state(next), SessionState::kActive);
+
+  const SessionHandle unknown{424242, 7};
+  EXPECT_EQ(fleet.evict(unknown), FleetStatus::kUnknownSession);
+  EXPECT_EQ(fleet.release(unknown), FleetStatus::kUnknownSession);
+  EXPECT_EQ(fleet.result(unknown, &status).frames.size(), 0u);
+  EXPECT_EQ(status, FleetStatus::kUnknownSession);
+  EXPECT_FALSE(SessionHandle{}.valid());
+  EXPECT_EQ(fleet.pause(SessionHandle{}), FleetStatus::kStaleHandle);
+}
+
 // -------------------------------------------------------------- dispatch --
 
 TEST(FleetDispatch, WeightedPriorityStarvesTheLightSession) {
@@ -984,6 +1054,28 @@ TEST(FleetRollups, SnapshotJsonRoundTrips) {
   EXPECT_DOUBLE_EQ(s.number_or("frames", -1.0), 3.0);
 }
 
+TEST(FleetScale, ThousandSyntheticSessionsAdmitAndServe) {
+  // The tier-1 scale smoke: 1k synthetic tenants admit (O(1) each — no
+  // roster scans with admission control off) and every one serves every
+  // tick; cross-session batching saves batches at this width.
+  FleetConfig cfg;
+  cfg.threads = 4;
+  Fleet fleet(cfg);
+  for (int i = 0; i < 1000; ++i)
+    ASSERT_TRUE(
+        fleet.admit(synthetic_spec("s" + std::to_string(i), 1000 + i))
+            .admitted);
+  EXPECT_EQ(fleet.session_count(), 1000u);
+  fleet.run(3);
+
+  const FleetSnapshot snap = fleet.snapshot();
+  EXPECT_EQ(snap.admitted, 1000);
+  EXPECT_EQ(snap.rejected, 0);
+  ASSERT_EQ(snap.sessions.size(), 1000u);
+  for (const SessionSnapshot& s : snap.sessions) EXPECT_EQ(s.frames, 3);
+  EXPECT_LT(snap.shared_batches, snap.isolated_batches);
+}
+
 // ----------------------------------------------------------- determinism --
 
 TEST(FleetDeterminism, IdenticalAcrossThreadCounts) {
@@ -1024,6 +1116,84 @@ TEST(FleetDeterminism, IdenticalAcrossThreadCounts) {
       EXPECT_EQ(rn.frames[f].tracked_objects, rw.frames[f].tracked_objects);
     }
   }
+}
+
+TEST(FleetDeterminism, ObsDeterministicAcrossThreadCounts) {
+  // Every obs input of a fleet tick is a simulated quantity, so the metrics
+  // fingerprint, span counts and the critical-path attribution fingerprint
+  // must be bit-identical whether the worker pool is 1 or 8 wide.
+  struct Observed {
+    std::string metrics;
+    std::string attribution;
+    std::map<std::string, long long> spans;
+  };
+  const auto run_observed = [](int threads) {
+    obs::reset();
+    obs::set_enabled(true);
+    obs::set_attribution_enabled(true);
+    FleetConfig cfg;
+    cfg.threads = threads;
+    Fleet fleet(cfg);
+    for (int i = 0; i < 8; ++i)
+      EXPECT_TRUE(
+          fleet.admit(synthetic_spec("s" + std::to_string(i), 800 + i))
+              .admitted);
+    fleet.run(12);
+    Observed o;
+    o.metrics = obs::metrics().fingerprint();
+    o.attribution = obs::critical_path().fingerprint();
+    o.spans = obs::tracer().span_counts();
+    obs::set_attribution_enabled(false);
+    obs::set_enabled(false);
+    obs::reset();
+    return o;
+  };
+  const Observed narrow = run_observed(1);
+  const Observed wide = run_observed(8);
+  EXPECT_FALSE(narrow.metrics.empty());
+  EXPECT_EQ(narrow.metrics, wide.metrics);
+  EXPECT_EQ(narrow.attribution, wide.attribution);
+  EXPECT_EQ(narrow.spans, wide.spans);
+}
+
+// ------------------------------------------------------------ attribution --
+
+TEST(FleetAttribution, CausalStreamsDoNotAliasPast65536Sessions) {
+  // Session ids are issued once per admission and never reused, so the
+  // causal stream of session 0 and of session 65,536 must differ: a stream
+  // that packs only the low 16 id bits would alias them. Attribution is on
+  // while the two probed sessions serve; the churn in between runs with it
+  // off because every eviction under attribution builds a postmortem.
+  obs::reset();
+  const auto served_stream = [](Fleet& fleet) {
+    obs::set_attribution_enabled(true);
+    fleet.step();
+    obs::set_attribution_enabled(false);
+    const auto doc = util::Json::parse(obs::recorder().request_dump("probe"));
+    EXPECT_TRUE(doc.has_value());
+    const util::Json* frames = doc ? doc->find("frames") : nullptr;
+    EXPECT_TRUE(frames && !frames->as_array().empty());
+    return frames && !frames->as_array().empty()
+               ? frames->as_array().back().number_or("stream", -1.0)
+               : -1.0;
+  };
+
+  Fleet fleet;
+  std::vector<double> streams;
+  constexpr int kSessions = 65537;
+  for (int i = 0; i < kSessions; ++i) {
+    const AdmitResult a = fleet.admit(synthetic_spec("s", 7));
+    ASSERT_TRUE(a.admitted) << i;
+    if (i == 0 || i == kSessions - 1) streams.push_back(served_stream(fleet));
+    ASSERT_EQ(fleet.evict(a.handle), FleetStatus::kOk) << i;
+    ASSERT_EQ(fleet.release(a.handle), FleetStatus::kOk) << i;
+  }
+  obs::reset();
+
+  ASSERT_EQ(streams.size(), 2u);
+  EXPECT_GT(streams[0], 0.0);
+  EXPECT_GT(streams[1], 0.0);
+  EXPECT_NE(streams[0], streams[1]);
 }
 
 }  // namespace

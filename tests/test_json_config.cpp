@@ -313,8 +313,6 @@ TEST(FleetRunConfig, ParseFleetBlock) {
       "slo_ms": 120, "dispatch": "weighted", "threads": 2,
       "readmit_interval": 7, "readmit_low_water": 0.6,
       "readmit_high_water": 0.85, "allow_split": true,
-      "shards": 4, "shard_capacity": 256,
-      "rebalance_interval": 25, "rebalance_high_water": 1.5,
       "device_scale": [{"class": "nano", "delta": 2}],
       "sessions": [
         {"name": "a", "weight": 2, "fps": 15, "slo_ms": 90,
@@ -337,10 +335,6 @@ TEST(FleetRunConfig, ParseFleetBlock) {
   EXPECT_DOUBLE_EQ(fleet.readmit_low_water, 0.6);
   EXPECT_DOUBLE_EQ(fleet.readmit_high_water, 0.85);
   EXPECT_TRUE(fleet.allow_split);
-  EXPECT_EQ(fleet.shards, 4);
-  EXPECT_EQ(fleet.shard_capacity, 256);
-  EXPECT_EQ(fleet.rebalance_interval, 25);
-  EXPECT_DOUBLE_EQ(fleet.rebalance_high_water, 1.5);
   ASSERT_EQ(fleet.device_scale.size(), 1u);
   EXPECT_EQ(fleet.device_scale[0].device_class, "nano");
   EXPECT_EQ(fleet.device_scale[0].delta, 2);
@@ -399,19 +393,11 @@ TEST(FleetRunConfig, RejectsBadFleetInput) {
                    R"({"fleet": {"sessions": [{"faults": {"loss_rate": 2}}]}})",
                    &error)
                    .has_value());
-  // Sharding knobs: out-of-range values and misspelled keys are hard errors.
-  EXPECT_FALSE(runtime::parse_run_config(R"({"fleet": {"shards": 0}})", &error)
-                   .has_value());
-  EXPECT_FALSE(runtime::parse_run_config(
-                   R"({"fleet": {"rebalance_high_water": 1.0}})", &error)
-                   .has_value());
-  EXPECT_FALSE(runtime::parse_run_config(
-                   R"({"fleet": {"rebalance_interval": -1}})", &error)
-                   .has_value());
+  // Unknown keys are hard errors, including keys an older schema had.
   EXPECT_FALSE(
-      runtime::parse_run_config(R"({"fleet": {"shardz": 2}})", &error)
+      runtime::parse_run_config(R"({"fleet": {"shards": 2}})", &error)
           .has_value());
-  EXPECT_NE(error.find("shardz"), std::string::npos);
+  EXPECT_NE(error.find("shards"), std::string::npos);
 }
 
 TEST(FleetRunConfig, DumpRoundTrips) {
@@ -425,10 +411,6 @@ TEST(FleetRunConfig, DumpRoundTrips) {
   fleet.readmit_low_water = 0.55;
   fleet.readmit_high_water = 0.8;
   fleet.allow_split = true;
-  fleet.shards = 3;
-  fleet.shard_capacity = 64;
-  fleet.rebalance_interval = 15;
-  fleet.rebalance_high_water = 1.4;
   fleet.device_scale.push_back({"xavier", -1});
   runtime::FleetSessionSpec spec;
   spec.name = "cam-east";
@@ -456,10 +438,6 @@ TEST(FleetRunConfig, DumpRoundTrips) {
   EXPECT_DOUBLE_EQ(again->fleet->readmit_low_water, 0.55);
   EXPECT_DOUBLE_EQ(again->fleet->readmit_high_water, 0.8);
   EXPECT_TRUE(again->fleet->allow_split);
-  EXPECT_EQ(again->fleet->shards, 3);
-  EXPECT_EQ(again->fleet->shard_capacity, 64);
-  EXPECT_EQ(again->fleet->rebalance_interval, 15);
-  EXPECT_DOUBLE_EQ(again->fleet->rebalance_high_water, 1.4);
   ASSERT_EQ(again->fleet->device_scale.size(), 1u);
   EXPECT_EQ(again->fleet->device_scale[0].device_class, "xavier");
   EXPECT_EQ(again->fleet->device_scale[0].delta, -1);

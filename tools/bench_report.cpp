@@ -267,8 +267,6 @@ bool print_postmortem_report(const util::Json& doc) {
   }
   std::printf("reason                : %s\n",
               doc.string_or("reason", "?").c_str());
-  const double shard = doc.number_or("shard", -1.0);
-  if (shard >= 0.0) std::printf("shard                 : %.0f\n", shard);
   std::printf("frames seen / kept    : %.0f / %zu (%ld misses in ring)\n",
               doc.number_or("frames_seen", 0.0), frames->as_array().size(),
               misses);
@@ -633,21 +631,20 @@ int main(int argc, char** argv) {
     elastic.push_back(util::Json(std::move(point)));
   }
 
-  // ---- sharded-plane scaling ---------------------------------------------
-  // Synthetic-load scale sweep over the ShardedFleet (bench/fleet_scale.hpp):
-  // ticks/sec, cross-shard batch savings, and device-pool queue drain vs
-  // shard count at 1k/4k/10k sessions. Deterministic except wall clock.
+  // ---- plane scaling -----------------------------------------------------
+  // Synthetic-load scale sweep over one plane (bench/fleet_scale.hpp):
+  // ticks/sec and ns per session-tick at 1k/4k/16k sessions, which must
+  // stay flat (a tick is linear in sessions). Deterministic except wall
+  // clock.
   const int scale_ticks = args.int_or("fleet-scale-ticks", 10);
   util::Json::Array scale;
-  for (const int n : {1000, 4000, 10000}) {
-    for (const int k : {1, 2, 4, 8}) {
-      const bench::ScalePoint point =
-          bench::run_scale_point("S2", n, k, scale_ticks, 42);
-      std::printf("fleet scale: %5d sessions x %d shards -> %7.1f ticks/s, "
-                  "x-saved %ld batches\n",
-                  n, k, point.ticks_per_sec, point.cross_batches_saved);
-      scale.push_back(bench::scale_point_json(point));
-    }
+  for (const int n : {1000, 4000, 16000}) {
+    const bench::ScalePoint point =
+        bench::run_scale_point("S2", n, scale_ticks, 42);
+    std::printf("fleet scale: %5d sessions -> %7.1f ticks/s, %6.0f ns per "
+                "session-tick\n",
+                n, point.ticks_per_sec, point.ns_per_session_tick);
+    scale.push_back(bench::scale_point_json(point));
   }
 
   // ---- fleet attribution A/B ---------------------------------------------

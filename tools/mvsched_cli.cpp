@@ -347,15 +347,14 @@ int main(int argc, char** argv) {
   // Fleet serving: --fleet, or a config file carrying a "fleet" block.
   if (run.fleet) {
     const runtime::FleetRunConfig& frc = *run.fleet;
-    // The CLI consumes the serving plane through FleetApi only: make_fleet
-    // returns a single Fleet or a ShardedFleet, and nothing below cares.
+    // The CLI consumes the serving plane through FleetApi only.
     const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(frc);
     for (const fleet::SessionSpec& spec : frc.sessions) {
       const fleet::AdmitResult admit = fleet->admit(spec);
       if (admit.admitted) {
         std::fprintf(stderr,
-                     "admitted %s -> shard %d (projected %.1f ms%s%s)\n",
-                     spec.name.c_str(), admit.shard, admit.projected_ms,
+                     "admitted %s (projected %.1f ms%s%s)\n",
+                     spec.name.c_str(), admit.projected_ms,
                      admit.masks_tightened ? ", masks tightened" : "",
                      admit.rate_halved ? ", rate halved" : "");
       } else {
@@ -375,21 +374,20 @@ int main(int argc, char** argv) {
         1, static_cast<int>(std::lround(1000.0 / frc.frame_period_ms)));
     const int ticks = run.frames * (fleet->wheel_hz() / base_fps);
     std::fprintf(stderr, "running fleet of %zu for %d ticks (wheel %d Hz, "
-                 "%d shard%s, slo=%.1f ms, dispatch=%s)...\n",
-                 fleet->session_count(), ticks, fleet->wheel_hz(),
-                 frc.shards, frc.shards == 1 ? "" : "s", frc.slo_ms,
+                 "slo=%.1f ms, dispatch=%s)...\n",
+                 fleet->session_count(), ticks, fleet->wheel_hz(), frc.slo_ms,
                  fleet::to_string(frc.dispatch));
     fleet->run(ticks);
 
     const fleet::FleetSnapshot snap = fleet->snapshot();
-    util::Table table({"handle", "shard", "name", "state", "fps", "stride",
+    util::Table table({"handle", "name", "state", "fps", "stride",
                        "frames", "deferred", "p50_ms", "p95_ms", "p99_ms",
                        "mean_ms", "iso_ms", "queue_ms", "slo_viol",
                        "recall"});
     for (const fleet::SessionSnapshot& s : snap.sessions) {
       table.add_row({std::to_string(s.handle.id) + "." +
                          std::to_string(s.handle.gen),
-                     std::to_string(s.shard), s.name,
+                     s.name,
                      fleet::to_string(s.state),
                      std::to_string(s.fps), std::to_string(s.stride),
                      std::to_string(s.frames),
@@ -406,11 +404,6 @@ int main(int argc, char** argv) {
     std::printf("%s", table.to_string().c_str());
     std::printf("admitted %d | rejected %d | evicted %d | readmitted %d\n",
                 snap.admitted, snap.rejected, snap.evicted, snap.readmitted);
-    if (snap.shards > 1)
-      std::printf("shards %d | migrations %ld | cross-shard batches saved "
-                  "%ld (%.1f ms)\n",
-                  snap.shards, snap.migrations, snap.cross_batches_saved,
-                  snap.cross_busy_saved_ms);
     std::printf("batches: shared %ld vs isolated %ld | busy %.1f vs %.1f ms "
                 "| splits %ld\n",
                 snap.shared_batches, snap.isolated_batches,
