@@ -3,6 +3,7 @@
 // rendered by vision::Renderer, so the motion-estimation code path matches a
 // deployment that feeds camera frames into a DIS-style flow estimator.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -83,6 +84,9 @@ class PaddedImage {
            static_cast<std::size_t>(y + pad_) * static_cast<std::size_t>(stride_) +
            static_cast<std::size_t>(pad_);
   }
+
+  /// Distance in bytes between consecutive rows.
+  std::ptrdiff_t stride() const { return stride_; }
 
   /// Clamped-equivalent read (for tests; kernels use row()).
   std::uint8_t at(int x, int y) const { return row(y)[x]; }

@@ -5,25 +5,81 @@
 #include <cmath>
 #include <limits>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/thread_pool.hpp"
 
 namespace mvs::vision {
 
+namespace {
+
+// The one block-SAD primitive: holds a size x size reference block and
+// returns the exact integer SAD against any same-size block. Blocks are given
+// as a top-left pointer plus row stride into a PaddedImage. Width-8 blocks
+// (the default OpticalFlow::Config) run a whole-block SSE2 kernel with the
+// reference rows loaded once into four registers; every other size, and
+// non-SSE2 targets, run the scalar row loop. Both read exactly the block's
+// size x size bytes, so the pad proof (DESIGN.md §7) covers every load.
+class BlockSad {
+ public:
+  BlockSad(const std::uint8_t* a, std::ptrdiff_t stride, int size)
+      : a_(a), stride_(stride), size_(size) {
+#if defined(__SSE2__)
+    if (size_ == 8)
+      for (int k = 0; k < 4; ++k) ref_[k] = row_pair(a + 2 * k * stride, stride);
+#endif
+  }
+
+  std::uint32_t operator()(const std::uint8_t* b, std::ptrdiff_t stride) const {
+#if defined(__SSE2__)
+    if (size_ == 8) {
+      // Two 8-byte rows per register, one psadbw per row pair; each psadbw
+      // leaves one 16-bit partial sum per 64-bit lane.
+      __m128i acc = _mm_sad_epu8(ref_[0], row_pair(b, stride));
+      for (int k = 1; k < 4; ++k)
+        acc = _mm_add_epi64(
+            acc, _mm_sad_epu8(ref_[k], row_pair(b + 2 * k * stride, stride)));
+      acc = _mm_add_epi64(acc, _mm_unpackhi_epi64(acc, acc));
+      return static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc));
+    }
+#endif
+    std::uint32_t sad = 0;
+    for (int dy = 0; dy < size_; ++dy) {
+      const std::uint8_t* ra = a_ + dy * stride_;
+      const std::uint8_t* rb = b + dy * stride;
+      std::uint32_t acc = 0;
+      for (int dx = 0; dx < size_; ++dx) {
+        const int d = static_cast<int>(ra[dx]) - static_cast<int>(rb[dx]);
+        acc += static_cast<std::uint32_t>(d < 0 ? -d : d);
+      }
+      sad += acc;
+    }
+    return sad;
+  }
+
+ private:
+#if defined(__SSE2__)
+  static __m128i row_pair(const std::uint8_t* p, std::ptrdiff_t stride) {
+    return _mm_unpacklo_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)),
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p + stride)));
+  }
+  __m128i ref_[4] = {};
+#endif
+  const std::uint8_t* a_;
+  std::ptrdiff_t stride_;
+  int size_;
+};
+
+}  // namespace
+
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by,
                                int size) {
-  std::uint32_t sad = 0;
-  for (int dy = 0; dy < size; ++dy) {
-    const std::uint8_t* ra = a.row(ay + dy) + ax;
-    const std::uint8_t* rb = b.row(by + dy) + bx;
-    std::uint32_t acc = 0;
-    for (int dx = 0; dx < size; ++dx) {
-      const int d = static_cast<int>(ra[dx]) - static_cast<int>(rb[dx]);
-      acc += static_cast<std::uint32_t>(d < 0 ? -d : d);
-    }
-    sad += acc;
-  }
-  return sad;
+  return BlockSad(a.row(ay) + ax, a.stride(), size)(b.row(by) + bx,
+                                                    b.stride());
 }
 
 void FlowScratch::advance() {
@@ -99,34 +155,20 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
         sy = static_cast<int>(std::lround(s.y * 2.0));
       }
 
+      // Exhaustive search in dy-major/dx-minor order with a strict `<`: the
+      // first candidate of least cost wins. Each candidate's SAD is exact,
+      // so its cost matches the double-accumulating reference bit for bit.
+      const BlockSad sad(pa.row(by) + bx, pa.stride(), bs);
       double best = std::numeric_limits<double>::infinity();
       int best_dx = sx, best_dy = sy;
       for (int dy = sy - radius; dy <= sy + radius; ++dy) {
+        const std::uint8_t* rb = pb.row(by + dy) + bx;
         for (int dx = sx - radius; dx <= sx + radius; ++dx) {
           // Slight zero-motion bias resolves flat-texture ties toward rest.
-          const double penalty = 0.1 * (std::abs(dx) + std::abs(dy));
-          // Integer SAD over padded rows, abandoning the candidate as soon
-          // as the partial sum already loses to the incumbent: double
-          // addition is monotone, so a partial sum failing the acceptance
-          // test guarantees the full sum would fail it too.
-          std::uint32_t sad = 0;
-          bool rejected = false;
-          for (int yy = 0; yy < bs; ++yy) {
-            const std::uint8_t* ra = pa.row(by + yy) + bx;
-            const std::uint8_t* rb = pb.row(by + dy + yy) + bx + dx;
-            std::uint32_t acc = 0;
-            for (int xx = 0; xx < bs; ++xx) {
-              const int d = static_cast<int>(ra[xx]) - static_cast<int>(rb[xx]);
-              acc += static_cast<std::uint32_t>(d < 0 ? -d : d);
-            }
-            sad += acc;
-            if (static_cast<double>(sad) + penalty >= best) {
-              rejected = true;
-              break;
-            }
-          }
-          if (!rejected) {
-            best = static_cast<double>(sad) + penalty;
+          const double cost = static_cast<double>(sad(rb + dx, pb.stride())) +
+                              0.1 * (std::abs(dx) + std::abs(dy));
+          if (cost < best) {
+            best = cost;
             best_dx = dx;
             best_dy = dy;
           }

@@ -8,9 +8,10 @@
 // object — where new objects may have appeared (paper Sec. II-B).
 //
 // Performance engineering (DESIGN.md §7): matching runs on edge-replicated
-// PaddedImage rows with an integer SAD and per-row early exit; per-camera
-// FlowScratch state carries the previous frame's pyramid across frames so
-// each regular frame builds exactly one pyramid and reallocates nothing.
+// PaddedImage rows with an exact integer block SAD (an SSE2 whole-block
+// kernel for 8x8 blocks, a scalar loop otherwise); per-camera FlowScratch
+// state carries the previous frame's pyramid across frames so each regular
+// frame builds exactly one pyramid and reallocates nothing.
 // Outputs are bit-identical to the straight-line reference implementation
 // (kept in tests/test_vision.cpp as the golden oracle).
 
@@ -48,7 +49,8 @@ struct FlowField {
 /// Integer sum of absolute differences between the size x size block of `a`
 /// at (ax, ay) and the block of `b` at (bx, by). Reads may run into the
 /// replicated borders, which reproduces Image::at_clamped semantics as long
-/// as every coordinate stays within the images' pad.
+/// as every coordinate stays within the images' pad. Same kernel as the flow
+/// matcher: SSE2 at size 8, scalar otherwise.
 std::uint32_t padded_block_sad(const PaddedImage& a, int ax, int ay,
                                const PaddedImage& b, int bx, int by, int size);
 

@@ -371,7 +371,7 @@ TEST(PaddedSad, MatchesReferenceSad) {
   pa.assign(a, pad);
   pb.assign(b, pad);
   for (int trial = 0; trial < 500; ++trial) {
-    const int size = rng.uniform_int(1, 8);
+    const int size = rng.uniform_int(1, 16);
     // Block origins anywhere in-frame; displaced origin may run `size + pad`
     // deep into the border, exactly like the clamped reference.
     const int ax = rng.uniform_int(0, 23);
@@ -418,6 +418,41 @@ TEST(OpticalFlowGolden, BitIdenticalOnOddSizesAndConfigs) {
         const Image b = random_image(w, h, rng);
         expect_fields_bit_identical(flow.compute(a, b),
                                     reference_flow(cfg, a, b));
+      }
+    }
+  }
+}
+
+TEST(OpticalFlowGolden, BitIdenticalAcrossBlockSizes) {
+  // Width 8 runs the SSE2 whole-block kernel, every other width the scalar
+  // loop; both must match the reference. Images smaller than one block put
+  // every block load against the pad edge, where ASan (sanitize preset)
+  // checks that the proven pad holds.
+  util::Rng rng(16);
+  const Renderer r = small_renderer();
+  const Image ra = r.render({{3, {50, 30, 28, 20}}}, 0, 11);
+  const Image rb = r.render({{3, {53, 29, 28, 20}}}, 1, 11);
+  const std::vector<std::pair<int, int>> sizes = {
+      {7, 5}, {3, 15}, {13, 11}, {37, 23}, {64, 40}};
+  for (const int block : {4, 8, 12, 16}) {
+    for (const int radius : {1, 3, 5}) {
+      for (const int levels : {1, 3}) {
+        OpticalFlow::Config cfg;
+        cfg.block_size = block;
+        cfg.search_radius = radius;
+        cfg.pyramid_levels = levels;
+        const OpticalFlow flow(cfg);
+        SCOPED_TRACE(::testing::Message() << "block=" << block << " radius="
+                                          << radius << " levels=" << levels);
+        expect_fields_bit_identical(flow.compute(ra, rb),
+                                    reference_flow(cfg, ra, rb));
+        for (const auto& [w, h] : sizes) {
+          SCOPED_TRACE(::testing::Message() << w << "x" << h);
+          const Image a = random_image(w, h, rng);
+          const Image b = random_image(w, h, rng);
+          expect_fields_bit_identical(flow.compute(a, b),
+                                      reference_flow(cfg, a, b));
+        }
       }
     }
   }

@@ -441,11 +441,13 @@ int main(int argc, char** argv) {
   vision::PaddedImage pa, pb;
   pa.assign(a, 16);
   pb.assign(b, 16);
+  // One SAD per 8x8 block of the frame: the block size the pipeline's
+  // flow matcher runs.
   const double sad_ms = time_median_ms(reps, [&] {
     std::uint32_t total = 0;
-    for (int y = 0; y + 16 <= rc.height; y += 16)
-      for (int x = 0; x + 16 <= rc.width; x += 16)
-        total += vision::padded_block_sad(pa, x, y, pb, x + 2, y + 1, 16);
+    for (int y = 0; y + 8 <= rc.height; y += 8)
+      for (int x = 0; x + 8 <= rc.width; x += 8)
+        total += vision::padded_block_sad(pa, x, y, pb, x + 2, y + 1, 8);
     g_sad_sink = total;
   });
 
