@@ -28,7 +28,8 @@ class BlockSad {
       : a_(a), stride_(stride), size_(size) {
 #if defined(__SSE2__)
     if (size_ == 8)
-      for (int k = 0; k < 4; ++k) ref_[k] = row_pair(a + 2 * k * stride, stride);
+      for (int k = 0; k < 4; ++k)
+        ref_[k] = row_pair(a + 2 * k * stride, stride);
 #endif
   }
 
