@@ -28,10 +28,8 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "bench/fleet_scale.hpp"
-#include "fleet/fleet_api.hpp"
+#include "fleet/fleet.hpp"
 #include "util/args.hpp"
 #include "util/bench_info.hpp"
 #include "util/json.hpp"
@@ -129,14 +127,14 @@ int main(int argc, char** argv) {
   util::Json::Array sweep;
 
   for (int n = 1; n <= max_sessions; ++n) {
-    const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+    fleet::Fleet fleet(cfg);
     std::vector<fleet::SessionHandle> handles;
     for (int s = 0; s < n; ++s) {
       fleet::SessionSpec spec;
       spec.name = scenario + "#" + std::to_string(s);
       spec.scenario = scenario;
       spec.pipeline.seed = seed + static_cast<std::uint64_t>(s);
-      const fleet::AdmitResult admit = fleet->admit(spec);
+      const fleet::AdmitResult admit = fleet.admit(spec);
       if (!admit.admitted) {
         std::fprintf(stderr, "session %d rejected at slo=%.1f ms\n", s,
                      cfg.slo_ms);
@@ -146,10 +144,10 @@ int main(int argc, char** argv) {
     }
 
     util::Stopwatch watch;
-    fleet->run(ticks);
+    fleet.run(ticks);
     const double run_ms = watch.elapsed_ms();
 
-    const fleet::FleetSnapshot snap = fleet->snapshot();
+    const fleet::FleetSnapshot snap = fleet.snapshot();
     long frames = 0;
     int cameras = 0;
     double p95 = 0.0;
@@ -158,7 +156,7 @@ int main(int argc, char** argv) {
       p95 = std::max(p95, s.p95_ms);
     }
     for (const fleet::SessionHandle h : handles) {
-      const runtime::PipelineResult r = fleet->result(h);
+      const runtime::PipelineResult r = fleet.result(h);
       cameras += static_cast<int>(
           r.frames.empty() ? 0 : r.frames.front().camera_infer_ms.size());
     }
@@ -215,23 +213,23 @@ int main(int argc, char** argv) {
     for (const double overhead : {0.0, sweep_overhead_ms}) {
       fleet::FleetConfig run_cfg = cfg;
       run_cfg.dispatch_overhead_ms = overhead;
-      const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(run_cfg);
+      fleet::Fleet fleet(run_cfg);
       for (int s = 0; s < max_sessions; ++s) {
         fleet::SessionSpec spec;
         spec.name = scenario + "#" + std::to_string(s);
         spec.scenario = scenario;
         spec.pipeline.seed = seed + static_cast<std::uint64_t>(s);
-        if (!fleet->admit(spec).admitted) {
+        if (!fleet.admit(spec).admitted) {
           std::fprintf(stderr, "session %d rejected at slo=%.1f ms\n", s,
                        cfg.slo_ms);
           return 1;
         }
       }
-      for (const auto& [name, count] : fleet->snapshot().device_pools)
-        fleet->scale_devices(name, multiplier - count);
-      fleet->run(ticks);
+      for (const auto& [name, count] : fleet.snapshot().device_pools)
+        fleet.scale_devices(name, multiplier - count);
+      fleet.run(ticks);
 
-      const fleet::FleetSnapshot snap = fleet->snapshot();
+      const fleet::FleetSnapshot snap = fleet.snapshot();
       double p95 = 0.0;
       for (const fleet::SessionSnapshot& s : snap.sessions)
         p95 = std::max(p95, s.p95_ms);

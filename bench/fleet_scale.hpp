@@ -7,10 +7,9 @@
 // wall-clock columns is deterministic for a given (sessions, ticks, seed).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
-#include "fleet/fleet_api.hpp"
+#include "fleet/fleet.hpp"
 #include "util/json.hpp"
 #include "util/stopwatch.hpp"
 
@@ -36,7 +35,7 @@ inline ScalePoint run_scale_point(const std::string& scenario, int sessions,
                                   int threads = 0) {
   fleet::FleetConfig cfg;
   cfg.threads = threads;
-  const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+  fleet::Fleet fleet(cfg);
 
   ScalePoint point;
   point.sessions = sessions;
@@ -49,12 +48,12 @@ inline ScalePoint run_scale_point(const std::string& scenario, int sessions,
     spec.scenario = scenario;
     spec.synthetic = true;
     spec.pipeline.seed = seed + static_cast<std::uint64_t>(s);
-    fleet->admit(spec);
+    fleet.admit(spec);
   }
   point.admit_ms = admit_watch.elapsed_ms();
 
   util::Stopwatch run_watch;
-  fleet->run(ticks);
+  fleet.run(ticks);
   point.run_ms = run_watch.elapsed_ms();
   point.ticks_per_sec = point.run_ms > 0.0
                             ? 1000.0 * static_cast<double>(ticks) / point.run_ms
@@ -64,7 +63,7 @@ inline ScalePoint run_scale_point(const std::string& scenario, int sessions,
                          (static_cast<double>(sessions) * ticks)
                    : 0.0;
 
-  const fleet::FleetSnapshot snap = fleet->snapshot();
+  const fleet::FleetSnapshot snap = fleet.snapshot();
   for (const fleet::SessionSnapshot& s : snap.sessions)
     point.frames += s.frames;
   point.shared_batches = snap.shared_batches;

@@ -20,9 +20,8 @@
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 
-#include "fleet/fleet_api.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
 #include "runtime/trace.hpp"
 
@@ -58,11 +57,10 @@ int main(int argc, char** argv) {
   cfg.dispatch = fleet::DispatchPolicy::kWeightedPriority;
   cfg.readmit_interval = 10;      // reverse-ladder scan every 10 ticks
   cfg.allow_split = true;         // SLO-protective batch splitting
-  // The walkthrough drives the serving plane through FleetApi only.
-  const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(cfg);
+  fleet::Fleet fleet(cfg);
 
   runtime::TraceRecorder trace;
-  fleet->attach_trace(&trace);
+  fleet.attach_trace(&trace);
 
   // Session specs are self-contained (runtime::FleetSessionSpec): scenario,
   // pipeline, weight, native fps, SLO override, and a private fault profile
@@ -91,7 +89,7 @@ int main(int argc, char** argv) {
   std::printf("== 1. admission (SLO %.0f ms) ==\n", cfg.slo_ms);
   fleet::SessionHandle fork_handle;
   for (fleet::SessionSpec* spec : {&hub, &fork, &edge}) {
-    const fleet::AdmitResult r = fleet->admit(*spec);
+    const fleet::AdmitResult r = fleet.admit(*spec);
     if (!r.admitted) {
       std::printf("  %-5s REJECTED: %s\n", spec->name.c_str(),
                   r.reason.c_str());
@@ -103,44 +101,44 @@ int main(int argc, char** argv) {
                 r.masks_tightened ? " [masks tightened]" : "",
                 r.rate_halved ? " [rate halved]" : "");
   }
-  std::printf("  tick wheel now %d Hz\n", fleet->wheel_hz());
+  std::printf("  tick wheel now %d Hz\n", fleet.wheel_hz());
 
   // One wall-clock second = wheel_hz ticks.
-  const int second = fleet->wheel_hz();
+  const int second = fleet.wheel_hz();
 
   std::printf("\n== 2. degraded serving (4 s) ==\n");
-  fleet->run(4 * second);
-  print_sessions(fleet->snapshot());
+  fleet.run(4 * second);
+  print_sessions(fleet.snapshot());
 
   std::printf("\n== 3. evict 'fork' -> re-admission scan restores 'edge' "
               "==\n");
-  fleet->evict(fork_handle);
-  fleet->run(4 * second);
-  print_sessions(fleet->snapshot());
+  fleet.evict(fork_handle);
+  fleet.run(4 * second);
+  print_sessions(fleet.snapshot());
   std::printf("  session_readmit events: %ld\n",
               static_cast<long>(trace.count(runtime::TraceEventType::kSessionReadmit)));
 
   std::printf("\n== 4. scale up the busiest device pool ==\n");
-  const fleet::FleetSnapshot before = fleet->snapshot();
+  const fleet::FleetSnapshot before = fleet.snapshot();
   if (!before.device_pools.empty()) {
     const std::string& device_class = before.device_pools.front().first;
-    const int count = fleet->scale_devices(device_class, +1);
+    const int count = fleet.scale_devices(device_class, +1);
     std::printf("  %s pool -> %d devices\n", device_class.c_str(), count);
   }
-  fleet->run(2 * second);
+  fleet.run(2 * second);
 
   std::printf("\n== 5. handle hygiene: results outlive eviction, not "
               "release ==\n");
-  const runtime::PipelineResult kept = fleet->result(fork_handle);
+  const runtime::PipelineResult kept = fleet.result(fork_handle);
   std::printf("  evicted 'fork' still serves its result: %zu frames\n",
               kept.frames.size());
-  fleet->release(fork_handle);
+  fleet.release(fork_handle);
   fleet::FleetStatus stale = fleet::FleetStatus::kOk;
-  fleet->result(fork_handle, &stale);
+  fleet.result(fork_handle, &stale);
   std::printf("  after release() the old handle is typed-%s\n",
               fleet::to_string(stale));
 
-  const fleet::FleetSnapshot snap = fleet->snapshot();
+  const fleet::FleetSnapshot snap = fleet.snapshot();
   print_sessions(snap);
   std::printf("\nfleet: ticks=%ld wheel=%d Hz admitted=%d evicted=%d "
               "readmitted=%d splits=%ld\n",

@@ -541,13 +541,12 @@ void Fleet::step() {
   isolated_busy_ms_ += plan.isolated_busy_ms;
   total_queue_ms_ += plan.queue_ms_total;
   batch_splits_ += plan.splits;
-  tick_busy_ms_.add(plan.shared_busy_ms);
-  queue_depth_.add(static_cast<double>(deferred));
+  tick_busy_ms_.record(plan.shared_busy_ms);
+  queue_depth_sum_ += static_cast<double>(deferred);
   if (obs::enabled()) {
-    // Fleet rollups re-expressed as registry metrics (the SampleSet-based
-    // snapshot stays the bit-identical source for FleetSnapshot JSON). All
-    // values here are simulated/deterministic, so they carry the full
-    // fingerprint.
+    // Fleet-level rollups re-expressed as registry metrics (FleetSnapshot
+    // stays the one per-session source). All values here are simulated/
+    // deterministic, so they carry the full fingerprint.
     obs::MetricsRegistry& m = obs::metrics();
     m.counter("fleet.ticks").add(1);
     m.counter("fleet.frames").add(static_cast<long long>(chosen.size()));
@@ -596,15 +595,9 @@ void Fleet::step() {
       frame_queue_ms = std::max(frame_queue_ms, a.queue_ms);
       busy += a.attributed_ms;
     }
-    s->latency_ms.add(frame_ms);
-    s->isolated_ms.add(frame_iso_ms);
-    s->queue_ms.add(frame_queue_ms);
-    if (obs::enabled()) {
-      const std::string prefix = "fleet.session." + std::to_string(s->id);
-      obs::MetricsRegistry& m = obs::metrics();
-      m.histogram(prefix + ".latency_ms").record(frame_ms);
-      m.histogram(prefix + ".queue_ms").record(frame_queue_ms);
-    }
+    s->latency_ms.record(frame_ms);
+    s->isolated_sum_ms += frame_iso_ms;
+    s->queue_sum_ms += frame_queue_ms;
     s->busy_sum_ms += busy;
     const double slo = s->spec.slo_ms >= 0.0 ? s->spec.slo_ms : cfg_.slo_ms;
     const bool miss = slo > 0.0 && frame_ms > slo;
@@ -691,11 +684,16 @@ FleetSnapshot Fleet::snapshot() const {
   const double tick_period_ms =
       cfg_.frame_period_ms * static_cast<double>(base_fps_) /
       static_cast<double>(std::max(1, wheel_hz_));
-  snap.mean_occupancy =
-      tick_period_ms > 0.0 ? tick_busy_ms_.mean() / tick_period_ms : 0.0;
-  snap.p95_tick_busy_ms =
-      tick_busy_ms_.count() ? tick_busy_ms_.percentile(95.0) : 0.0;
-  snap.mean_queue_depth = queue_depth_.mean();
+  // Means divide running sums by the sample count, the same insertion-order
+  // sum a kept sample list would give; percentiles are the histogram's
+  // nearest-rank bucket estimate (within one log2 bucket of exact).
+  if (tick_busy_ms_.count() > 0) {
+    const auto steps = static_cast<double>(tick_busy_ms_.count());
+    if (tick_period_ms > 0.0)
+      snap.mean_occupancy = tick_busy_ms_.sum() / steps / tick_period_ms;
+    snap.p95_tick_busy_ms = tick_busy_ms_.percentile(95.0);
+    snap.mean_queue_depth = queue_depth_sum_ / steps;
+  }
   snap.slo_alerts_raised = slo_alerts_raised_;
   snap.slo_alerts_cleared = slo_alerts_cleared_;
   for (const auto& [name, count] : arbiter_.device_counts())
@@ -713,13 +711,14 @@ FleetSnapshot Fleet::snapshot() const {
     ss.deferred_ticks = s->deferred_ticks;
     ss.slo_violations = s->slo_violations;
     ss.slo_ms = s->spec.slo_ms >= 0.0 ? s->spec.slo_ms : cfg_.slo_ms;
-    if (s->latency_ms.count()) {
+    if (s->frames > 0) {
+      const auto n = static_cast<double>(s->frames);
       ss.p50_ms = s->latency_ms.percentile(50.0);
       ss.p95_ms = s->latency_ms.percentile(95.0);
       ss.p99_ms = s->latency_ms.percentile(99.0);
-      ss.mean_ms = s->latency_ms.mean();
-      ss.mean_isolated_ms = s->isolated_ms.mean();
-      ss.mean_queue_ms = s->queue_ms.mean();
+      ss.mean_ms = s->latency_ms.sum() / n;
+      ss.mean_isolated_ms = s->isolated_sum_ms / n;
+      ss.mean_queue_ms = s->queue_sum_ms / n;
     }
     ss.busy_sum_ms = s->busy_sum_ms;
     ss.slo_alerts = s->slo_alerts;
@@ -817,7 +816,7 @@ std::string FleetSnapshot::to_json() const {
   return util::Json(std::move(doc)).dump();
 }
 
-std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config) {
+std::unique_ptr<Fleet> make_fleet(const FleetConfig& config) {
   return std::make_unique<Fleet>(config);
 }
 

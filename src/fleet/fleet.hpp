@@ -1,5 +1,5 @@
 #pragma once
-// mvs::fleet — the serving runtime (the FleetApi implementation).
+// mvs::fleet — the serving runtime.
 //
 // Hosts many concurrent runtime::Pipeline sessions (independent multi-view
 // deployments) over ONE shared util::ThreadPool and one shared simulated
@@ -58,10 +58,10 @@
 #include "fleet/fleet_api.hpp"
 #include "fleet/handle.hpp"
 #include "fleet/synthetic.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/config.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/trace.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mvs::fleet {
@@ -95,18 +95,21 @@ struct SessionRecord {
   /// latency exceeds the effective SLO is one bad event.
   BurnMonitor burn;
   long slo_alerts = 0;  ///< raise edges over the session's lifetime
-  util::SampleSet latency_ms;       ///< per-frame attributed + queueing
-  util::SampleSet isolated_ms;      ///< dedicated-device counterfactual
-  util::SampleSet queue_ms;         ///< per-frame device-pool queueing
+  /// Constant-memory rollups, one sample per frame (DESIGN.md §8): the
+  /// log2 histogram carries the percentiles and the latency sum; the other
+  /// means are running sums over `frames`.
+  obs::Histogram latency_ms;        ///< per-frame attributed + queueing
+  double isolated_sum_ms = 0.0;     ///< Σ dedicated-device counterfactual
+  double queue_sum_ms = 0.0;        ///< Σ per-frame device-pool queueing
   double busy_sum_ms = 0.0;         ///< Σ attributed over all cameras/frames
   /// Result snapshot frozen at eviction (the pipeline is destroyed then).
   runtime::PipelineResult final_result;
 };
 
-class Fleet : public FleetApi {
+class Fleet {
  public:
   explicit Fleet(const FleetConfig& config = {});
-  ~Fleet() override;
+  ~Fleet();
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
@@ -118,36 +121,50 @@ class Fleet : public FleetApi {
   /// spec.faults (when set) replaces the pipeline fault profile and, unless
   /// fault-free, selects the lossy transport. A native fps that does not
   /// divide the current wheel grows it to the least common multiple.
-  AdmitResult admit(const SessionSpec& spec) override;
+  AdmitResult admit(const SessionSpec& spec);
 
-  /// Lifecycle transitions (see FleetApi). Evictions are final; the
-  /// session's result survives until release().
-  FleetStatus evict(SessionHandle handle) override;
-  FleetStatus pause(SessionHandle handle) override;
-  FleetStatus resume(SessionHandle handle) override;
-  FleetStatus release(SessionHandle handle) override;
+  /// Lifecycle transitions. Evictions are final (kInvalidState to evict
+  /// twice); an evicted session's result() survives until release(), which
+  /// recycles its slot and makes the handle (and any copy of it)
+  /// permanently stale.
+  FleetStatus evict(SessionHandle handle);
+  FleetStatus pause(SessionHandle handle);
+  FleetStatus resume(SessionHandle handle);
+  FleetStatus release(SessionHandle handle);
 
-  int scale_devices(const std::string& device_class, int delta) override;
+  /// Grow (delta > 0) or shrink (delta < 0) a device class's pool at
+  /// runtime; pools never drop below one device. Returns the new pool size.
+  int scale_devices(const std::string& device_class, int delta);
 
   /// Advance one wheel tick: dispatch, step the due sessions concurrently,
   /// merge their GPU work cross-session, update rollups, and (periodically)
   /// run the re-admission scan.
-  void step() override;
+  void step();
+  void run(int ticks) {
+    for (int t = 0; t < ticks; ++t) step();
+  }
 
-  long ticks() const override { return ticks_; }
+  long ticks() const { return ticks_; }
   /// Current tick-wheel rate (ticks per second). Starts at the base rate
   /// 1000 / frame_period_ms and grows to the lcm of admitted native rates;
   /// growing rescales ticks() so firing phases are preserved.
-  int wheel_hz() const override { return wheel_hz_; }
-  std::size_t session_count() const override {
+  int wheel_hz() const { return wheel_hz_; }
+  /// Live sessions, paused ones included.
+  std::size_t session_count() const {
     return static_cast<std::size_t>(live_sessions_);
   }
-  SessionState state(SessionHandle handle) const override;
+  /// kEvicted for stale/unknown handles (it names no live session).
+  SessionState state(SessionHandle handle) const;
+  /// Everything the session has run so far (survives eviction until
+  /// release). Empty with *status = the typed error on a bad handle.
   runtime::PipelineResult result(SessionHandle handle,
-                                 FleetStatus* status = nullptr) const override;
-  FleetSnapshot snapshot() const override;
+                                 FleetStatus* status = nullptr) const;
+  FleetSnapshot snapshot() const;
 
-  void attach_trace(runtime::TraceRecorder* trace) override;
+  /// Record session lifecycle events (admit/reject/evict/pause/resume/
+  /// defer/readmit) plus device_scale and batch_split into `trace`; pass
+  /// nullptr to detach.
+  void attach_trace(runtime::TraceRecorder* trace);
 
   /// The last step()'s merged plan (shares, merge cells, busy). Valid
   /// after the first step.
@@ -221,8 +238,10 @@ class Fleet : public FleetApi {
   BurnMonitor plane_burn_;
   long slo_alerts_raised_ = 0;
   long slo_alerts_cleared_ = 0;
-  util::SampleSet tick_busy_ms_;
-  util::SampleSet queue_depth_;
+  /// One sample per step(): merged busy (percentiles + mean) and the
+  /// number of deferred sessions (mean over the same count).
+  obs::Histogram tick_busy_ms_;
+  double queue_depth_sum_ = 0.0;
 
   /// step() working buffers reused across ticks so a warm fleet tick
   /// allocates nothing on the serving path (DESIGN.md §11).
@@ -232,5 +251,9 @@ class Fleet : public FleetApi {
   TickPlan plan_scratch_;
   runtime::CameraGpuWork merged_scratch_;
 };
+
+// Kept only for perfbench/src/plane_workloads.cpp, which uses both names.
+using FleetApi = Fleet;
+std::unique_ptr<Fleet> make_fleet(const FleetConfig& config);
 
 }  // namespace mvs::fleet

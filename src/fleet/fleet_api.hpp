@@ -1,27 +1,17 @@
 #pragma once
-// mvs::fleet public serving interface.
-//
-// FleetApi is the one surface callers program against; Fleet (fleet.hpp)
-// implements it and serves from one session to tens of thousands.
-// Sessions are addressed by opaque SessionHandle values (see handle.hpp);
-// handle misuse after release() returns a typed FleetStatus instead of
-// silently addressing a reused slot.
-//
-// This header also owns the fleet vocabulary types — admission result,
-// rollup snapshots; the config types are aliases of the runtime::config
-// ones.
+// mvs::fleet vocabulary types: admission result and rollup snapshots; the
+// config types are aliases of the runtime::config ones. The serving plane
+// itself is the concrete Fleet (fleet.hpp), which serves from one session
+// to tens of thousands. Sessions are addressed by opaque SessionHandle
+// values (see handle.hpp); handle misuse after release() returns a typed
+// FleetStatus instead of silently addressing a reused slot.
 
-#include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fleet/handle.hpp"
 #include "runtime/config.hpp"
-#include "runtime/pipeline.hpp"
-#include "runtime/trace.hpp"
 
 namespace mvs::fleet {
 
@@ -111,58 +101,5 @@ struct FleetSnapshot {
   /// JSON document of the whole rollup (fleet object + sessions array).
   std::string to_json() const;
 };
-
-/// The serving-plane interface, implemented by Fleet (fleet.hpp).
-class FleetApi {
- public:
-  virtual ~FleetApi() = default;
-
-  /// Admission-controlled session creation; see Fleet::admit for the
-  /// degrade-ladder semantics.
-  virtual AdmitResult admit(const SessionSpec& spec) = 0;
-
-  /// Lifecycle transitions. Evictions are final (kInvalidState to evict
-  /// twice); an evicted session's result() survives until release().
-  virtual FleetStatus pause(SessionHandle handle) = 0;
-  virtual FleetStatus resume(SessionHandle handle) = 0;
-  virtual FleetStatus evict(SessionHandle handle) = 0;
-
-  /// Drop an EVICTED session's retained result and recycle its slot; the
-  /// handle (and any copy of it) becomes permanently stale.
-  virtual FleetStatus release(SessionHandle handle) = 0;
-
-  /// kEvicted for stale/unknown handles (it names no live session).
-  virtual SessionState state(SessionHandle handle) const = 0;
-
-  /// Everything the session has run so far (survives eviction until
-  /// release). Empty with *status = the typed error on a bad handle.
-  virtual runtime::PipelineResult result(
-      SessionHandle handle, FleetStatus* status = nullptr) const = 0;
-
-  /// Grow (delta > 0) or shrink (delta < 0) a device class's pool at
-  /// runtime; pools never drop below one device. Returns the new pool
-  /// size.
-  virtual int scale_devices(const std::string& device_class, int delta) = 0;
-
-  /// Advance one wheel tick.
-  virtual void step() = 0;
-
-  virtual long ticks() const = 0;
-  virtual int wheel_hz() const = 0;
-  virtual std::size_t session_count() const = 0;  ///< live, incl. paused
-  virtual FleetSnapshot snapshot() const = 0;
-
-  /// Record session lifecycle events (admit/reject/evict/pause/resume/
-  /// defer/readmit) plus device_scale and batch_split into
-  /// `trace`; pass nullptr to detach.
-  virtual void attach_trace(runtime::TraceRecorder* trace) = 0;
-
-  void run(int ticks) {
-    for (int t = 0; t < ticks; ++t) step();
-  }
-};
-
-/// Build the serving plane the config asks for (a Fleet).
-std::unique_ptr<FleetApi> make_fleet(const FleetConfig& config);
 
 }  // namespace mvs::fleet

@@ -8,10 +8,18 @@
 // producer thread. Key frames are exempt by design (mask rebuild, central
 // BALB, association); the async span exporter thread is exempt via
 // util::alloc_track::t_exempt (it drains rings off the frame path).
+//
+// The hook also keeps a live-byte balance (malloc_usable_size on every new
+// and delete, so it agrees with itself under ASan too), always on, which
+// the run-length soak reads: a warm serving plane must not grow its heap
+// with the ticks it serves.
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,27 +35,37 @@ namespace {
 
 std::atomic<bool> g_armed{false};
 std::atomic<long> g_allocs{0};
+std::atomic<long> g_live_bytes{0};
 
-inline void note_alloc() {
+void* note_alloc(void* p) {
   if (g_armed.load(std::memory_order_relaxed) &&
       !mvs::util::alloc_track::t_exempt)
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (p)
+    g_live_bytes.fetch_add(static_cast<long>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  return p;
+}
+
+void note_free(void* p) {
+  if (!p) return;
+  g_live_bytes.fetch_sub(static_cast<long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
 void* checked_alloc(std::size_t n) {
-  note_alloc();
-  void* p = std::malloc(n ? n : 1);
+  void* p = note_alloc(std::malloc(n ? n : 1));
   if (!p) throw std::bad_alloc();
   return p;
 }
 
 void* checked_aligned_alloc(std::size_t n, std::size_t align) {
-  note_alloc();
   void* p = nullptr;
   if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
                      n ? n : 1) != 0)
     throw std::bad_alloc();
-  return p;
+  return note_alloc(p);
 }
 
 }  // namespace
@@ -55,12 +73,10 @@ void* checked_aligned_alloc(std::size_t n, std::size_t align) {
 void* operator new(std::size_t n) { return checked_alloc(n); }
 void* operator new[](std::size_t n) { return checked_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  note_alloc();
-  return std::malloc(n ? n : 1);
+  return note_alloc(std::malloc(n ? n : 1));
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  note_alloc();
-  return std::malloc(n ? n : 1);
+  return note_alloc(std::malloc(n ? n : 1));
 }
 void* operator new(std::size_t n, std::align_val_t a) {
   return checked_aligned_alloc(n, static_cast<std::size_t>(a));
@@ -68,21 +84,21 @@ void* operator new(std::size_t n, std::align_val_t a) {
 void* operator new[](std::size_t n, std::align_val_t a) {
   return checked_aligned_alloc(n, static_cast<std::size_t>(a));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { note_free(p); }
+void operator delete[](void* p) noexcept { note_free(p); }
+void operator delete(void* p, std::size_t) noexcept { note_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { note_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { note_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { note_free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  note_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  note_free(p);
 }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { note_free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  note_free(p);
 }
 
 namespace {
@@ -163,6 +179,35 @@ TEST(AllocGuard, FleetSteadyTicksAllocateNothing) {
   EXPECT_EQ(streak, kRequiredStreak)
       << "fleet never reached a zero-allocation steady state in " << ticks
       << " ticks";
+}
+
+// Memory bounded in run length (DESIGN.md §8): once warm, a serving plane's
+// live heap does not grow with the ticks it serves — per-session and
+// per-tick rollups are fixed-size accumulators, not kept sample lists. The
+// slack absorbs bounded high-water growth of reusable scratch: the thread
+// pool parks up to 256 recycled tile groups (~26 KiB), and how many it
+// needs depends on how late its helpers run. Keeping three doubles per
+// session-tick would add ~7.7 MB here.
+TEST(AllocGuard, FleetLiveBytesDoNotGrowWithRunLength) {
+  fleet::FleetConfig fc;
+  fc.threads = 4;
+  fleet::Fleet fl(fc);
+  for (int i = 0; i < 16; ++i) {
+    runtime::FleetSessionSpec spec;
+    spec.name = "soak-" + std::to_string(i);
+    spec.scenario = "S2";
+    spec.synthetic = true;
+    spec.pipeline.seed = 100 + static_cast<std::uint64_t>(i);
+    ASSERT_TRUE(fl.admit(spec).admitted);
+  }
+  fl.run(1000);
+  const long warm = g_live_bytes.load(std::memory_order_relaxed);
+  fl.run(20000);
+  const long grown = g_live_bytes.load(std::memory_order_relaxed) - warm;
+  constexpr long kSlackBytes = 64 * 1024;
+  EXPECT_LE(grown, kSlackBytes)
+      << "live heap grew by " << grown << " B over 20000 warm ticks";
+  EXPECT_EQ(fl.snapshot().sessions.at(0).frames, 21000);
 }
 
 // The paced runtime inherits the invariant: once the arrival queue and the

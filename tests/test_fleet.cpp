@@ -11,6 +11,7 @@
 #include "obs/obs.hpp"
 #include "policy/policy.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace mvs::fleet {
 namespace {
@@ -1030,6 +1031,34 @@ TEST(FleetRollups, CrossSessionBatchingBeatsIsolatedDevices) {
     EXPECT_GT(s.p50_ms, 0.0);
     EXPECT_LE(s.p50_ms, s.p95_ms);
     EXPECT_LE(s.p95_ms, s.p99_ms);
+  }
+}
+
+TEST(FleetRollups, FleetOfOnePercentilesWithinOneBucketOfExact) {
+  // Snapshot percentiles are the log2 histogram's nearest-rank estimate:
+  // each lands in the bucket of the exact percentile over the session's
+  // per-frame latencies, which for a fleet of one are the pipeline's own
+  // slowest_infer_ms. The mean stays the exact insertion-order mean.
+  Fleet fleet;
+  const AdmitResult admitted = fleet.admit(spec("solo", 5));
+  ASSERT_TRUE(admitted.admitted);
+  fleet.run(60);
+  util::SampleSet exact;
+  for (const runtime::FrameStats& f : fleet.result(admitted.handle).frames)
+    exact.add(f.slowest_infer_ms);
+  ASSERT_EQ(exact.count(), 60u);
+
+  const FleetSnapshot snap = fleet.snapshot();
+  ASSERT_EQ(snap.sessions.size(), 1u);
+  const SessionSnapshot& s = snap.sessions[0];
+  EXPECT_DOUBLE_EQ(s.mean_ms, exact.mean());
+  EXPECT_DOUBLE_EQ(s.mean_isolated_ms, exact.mean());
+  EXPECT_DOUBLE_EQ(s.mean_queue_ms, 0.0);
+  for (const auto& [p, estimate] :
+       {std::pair{50.0, s.p50_ms}, {95.0, s.p95_ms}, {99.0, s.p99_ms}}) {
+    const int bucket = obs::Histogram::bucket_index(exact.percentile(p));
+    EXPECT_GE(estimate, obs::Histogram::bucket_lower(bucket)) << "p" << p;
+    EXPECT_LT(estimate, obs::Histogram::bucket_upper(bucket)) << "p" << p;
   }
 }
 

@@ -153,8 +153,9 @@ TEST(Integration, ViewSelectionFromSimulatedFrames) {
   const bool any_shared =
       std::any_of(seen.begin(), seen.end(),
                   [](const auto& kv) { return kv.second >= 2; });
-  if (any_shared)
+  if (any_shared) {
     EXPECT_LT(selection.cameras.size(), frame.per_camera.size());
+  }
 }
 
 TEST(Integration, ConfigDrivenRunMatchesDirectRun) {

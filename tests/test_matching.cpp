@@ -110,8 +110,12 @@ TEST(BoxMatcher, MatchesByIou) {
   ASSERT_EQ(res.matches.size(), 2u);
   // a0 matches b1, a1 matches b0.
   for (const BoxMatch& match : res.matches) {
-    if (match.a == 0) EXPECT_EQ(match.b, 1);
-    if (match.a == 1) EXPECT_EQ(match.b, 0);
+    if (match.a == 0) {
+      EXPECT_EQ(match.b, 1);
+    }
+    if (match.a == 1) {
+      EXPECT_EQ(match.b, 0);
+    }
     EXPECT_GT(match.iou, 0.5);
   }
 }

@@ -67,10 +67,6 @@ netsim::SimTransport::Config fault_free_config() {
   return cfg;
 }
 
-double serialize_ms(std::size_t bytes, double mbps) {
-  return static_cast<double>(bytes) * 8.0 / (mbps * 1e6) * 1e3;
-}
-
 TEST(SimTransport, FaultFreeUplinksQueueInFifoOrder) {
   const auto cfg = fault_free_config();
   netsim::SimTransport t(cfg, 3, /*seed=*/1);

@@ -114,7 +114,9 @@ TEST(Robustness, ZeroTrafficScenarioIsHandled) {
   runtime::Pipeline pipeline("S2", cfg);
   const auto result = pipeline.run(20);
   for (const auto& frame : result.frames) {
-    if (frame.gt_objects == 0) EXPECT_DOUBLE_EQ(frame.frame_recall, 1.0);
+    if (frame.gt_objects == 0) {
+      EXPECT_DOUBLE_EQ(frame.frame_recall, 1.0);
+    }
   }
 }
 

@@ -131,8 +131,9 @@ TEST(RtRunner, FrameConservationHoldsUnderEveryLatePolicy) {
         EXPECT_EQ(r.counters.dropped, 0);
         EXPECT_EQ(r.counters.superseded, 0);
       }
-      if (policy == runtime::LatePolicy::kDrop)
+      if (policy == runtime::LatePolicy::kDrop) {
         EXPECT_EQ(r.counters.superseded, 0);
+      }
       EXPECT_EQ(r.instants, kFrames);  // every instant is scored exactly once
     }
   }

@@ -119,7 +119,9 @@ TEST(PipelineBehaviour, CentralOverheadOnlyOnKeyFrames) {
   Pipeline balb("S2", fast_config(Policy::kBalb));
   const PipelineResult result = balb.run(20);
   for (const FrameStats& f : result.frames) {
-    if (!f.key_frame) EXPECT_DOUBLE_EQ(f.central_ms, 0.0);
+    if (!f.key_frame) {
+      EXPECT_DOUBLE_EQ(f.central_ms, 0.0);
+    }
   }
   EXPECT_GT(result.frames[0].central_ms, 0.0);
   EXPECT_GT(result.frames[0].comm_ms, 0.0);

@@ -323,8 +323,8 @@ TEST(SliceRegions, EmptyInput) {
 
 TEST(Image, DownsampleIntoMatchesDownsampled) {
   util::Rng rng(11);
-  for (const auto [w, h] : {std::pair{4, 4}, std::pair{7, 5}, std::pair{1, 9},
-                            std::pair{33, 17}, std::pair{160, 96}}) {
+  for (const auto& [w, h] : {std::pair{4, 4}, std::pair{7, 5}, std::pair{1, 9},
+                             std::pair{33, 17}, std::pair{160, 96}}) {
     const Image img = random_image(w, h, rng);
     const Image gold = img.downsampled();
     Image out;
@@ -407,7 +407,7 @@ TEST(OpticalFlowGolden, BitIdenticalOnOddSizesAndConfigs) {
   util::Rng rng(15);
   const std::vector<std::pair<int, int>> sizes = {
       {7, 5}, {8, 8}, {9, 16}, {17, 9}, {37, 23}, {64, 40}, {31, 64}};
-  for (const auto [w, h] : sizes) {
+  for (const auto& [w, h] : sizes) {
     for (const int levels : {1, 2, 4}) {
       for (const int radius : {1, 3}) {
         OpticalFlow::Config cfg;

@@ -46,7 +46,7 @@
 
 #include "../bench/concurrency_measure.hpp"
 #include "bench/fleet_scale.hpp"
-#include "fleet/fleet_api.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
 #include "rt/runner.hpp"
 #include "runtime/pipeline.hpp"
@@ -558,17 +558,17 @@ int main(int argc, char** argv) {
     fleet::FleetSnapshot snap;
     long frames = 0;
     for (int rep = 0; rep < fleet_reps; ++rep) {
-      const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet({});
+      fleet::Fleet fleet;
       for (int s = 0; s < n; ++s) {
         fleet::SessionSpec spec;
         spec.name = "S2#" + std::to_string(s);
         spec.pipeline.seed = 42 + static_cast<std::uint64_t>(s);
-        fleet->admit(spec);
+        fleet.admit(spec);
       }
       util::Stopwatch watch;
-      fleet->run(fleet_ticks);
+      fleet.run(fleet_ticks);
       samples.push_back(watch.elapsed_ms());
-      snap = fleet->snapshot();
+      snap = fleet.snapshot();
       frames = 0;
       for (const fleet::SessionSnapshot& s : snap.sessions)
         frames += s.frames;
@@ -608,20 +608,20 @@ int main(int argc, char** argv) {
     std::vector<double> samples;
     fleet::FleetSnapshot snap;
     for (int rep = 0; rep < fleet_reps; ++rep) {
-      const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet({});
+      fleet::Fleet fleet;
       for (int s = 0; s < fleet_sessions; ++s) {
         fleet::SessionSpec spec;
         spec.name = "S2#" + std::to_string(s);
         spec.pipeline.seed = 42 + static_cast<std::uint64_t>(s);
-        fleet->admit(spec);
+        fleet.admit(spec);
       }
       for (const auto& [device_class, count] :
-           fleet->snapshot().device_pools)
-        fleet->scale_devices(device_class, multiplier - count);
+           fleet.snapshot().device_pools)
+        fleet.scale_devices(device_class, multiplier - count);
       util::Stopwatch watch;
-      fleet->run(fleet_ticks);
+      fleet.run(fleet_ticks);
       samples.push_back(watch.elapsed_ms());
-      snap = fleet->snapshot();
+      snap = fleet.snapshot();
     }
     util::Json::Object point;
     point["devices_per_class"] = util::Json(multiplier);
@@ -655,14 +655,14 @@ int main(int argc, char** argv) {
   util::Json::Object fleet_attr;
   {
     const auto fleet_rep = [&] {
-      const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet({});
+      fleet::Fleet fleet;
       for (int s = 0; s < fleet_sessions; ++s) {
         fleet::SessionSpec spec;
         spec.name = "S2#" + std::to_string(s);
         spec.pipeline.seed = 42 + static_cast<std::uint64_t>(s);
-        fleet->admit(spec);
+        fleet.admit(spec);
       }
-      fleet->run(fleet_ticks);
+      fleet.run(fleet_ticks);
     };
     obs::reset();
     std::vector<double> off_samples, on_samples;

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet_api.hpp"
+#include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
 #include "rt/runner.hpp"
 #include "runtime/config.hpp"
@@ -347,10 +347,9 @@ int main(int argc, char** argv) {
   // Fleet serving: --fleet, or a config file carrying a "fleet" block.
   if (run.fleet) {
     const runtime::FleetRunConfig& frc = *run.fleet;
-    // The CLI consumes the serving plane through FleetApi only.
-    const std::unique_ptr<fleet::FleetApi> fleet = fleet::make_fleet(frc);
+    fleet::Fleet fleet(frc);
     for (const fleet::SessionSpec& spec : frc.sessions) {
-      const fleet::AdmitResult admit = fleet->admit(spec);
+      const fleet::AdmitResult admit = fleet.admit(spec);
       if (admit.admitted) {
         std::fprintf(stderr,
                      "admitted %s (projected %.1f ms%s%s)\n",
@@ -363,7 +362,7 @@ int main(int argc, char** argv) {
       }
     }
     for (const runtime::FleetDeviceScale& ds : frc.device_scale) {
-      const int count = fleet->scale_devices(ds.device_class, ds.delta);
+      const int count = fleet.scale_devices(ds.device_class, ds.delta);
       std::fprintf(stderr, "scaled %s pool to %d device%s\n",
                    ds.device_class.c_str(), count, count == 1 ? "" : "s");
     }
@@ -372,14 +371,14 @@ int main(int argc, char** argv) {
     // heterogeneous rates were admitted.
     const int base_fps = std::max(
         1, static_cast<int>(std::lround(1000.0 / frc.frame_period_ms)));
-    const int ticks = run.frames * (fleet->wheel_hz() / base_fps);
+    const int ticks = run.frames * (fleet.wheel_hz() / base_fps);
     std::fprintf(stderr, "running fleet of %zu for %d ticks (wheel %d Hz, "
                  "slo=%.1f ms, dispatch=%s)...\n",
-                 fleet->session_count(), ticks, fleet->wheel_hz(), frc.slo_ms,
+                 fleet.session_count(), ticks, fleet.wheel_hz(), frc.slo_ms,
                  fleet::to_string(frc.dispatch));
-    fleet->run(ticks);
+    fleet.run(ticks);
 
-    const fleet::FleetSnapshot snap = fleet->snapshot();
+    const fleet::FleetSnapshot snap = fleet.snapshot();
     util::Table table({"handle", "name", "state", "fps", "stride",
                        "frames", "deferred", "p50_ms", "p95_ms", "p99_ms",
                        "mean_ms", "iso_ms", "queue_ms", "slo_viol",
