@@ -110,12 +110,11 @@ double normalized_residual(const vision::FlowField& field);
 
 /// Fraction of flow blocks with |flow| >= motion_threshold (flow pixels)
 /// whose centers are NOT inside any `explained` box (track or ghost boxes,
-/// logical coordinates; `scale` maps flow pixels to logical). This is the
-/// cheapest possible "something new is moving" signal: the same quantity
-/// vision::extract_new_regions clusters, without the clustering.
+/// in flow-field coordinates). This is the cheapest possible "something new
+/// is moving" signal: the same quantity vision::extract_new_regions
+/// clusters, without the clustering.
 double unexplained_motion_fraction(const vision::FlowField& field,
                                    const std::vector<geom::BBox>& explained,
-                                   double scale,
                                    double motion_threshold = 1.5);
 
 }  // namespace mvs::policy

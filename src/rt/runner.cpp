@@ -200,7 +200,7 @@ RtResult RtRunner::result() const {
   RtResult r;
   r.counters = counters_;
   r.streaming_recall = scorer_.streaming_recall();
-  r.object_recall = pipeline_.result().object_recall;
+  r.object_recall = pipeline_.object_recall();
   const util::RunningStats& lag = scorer_.lag_ms();
   if (lag.count() > 0) {
     r.mean_lag_ms = lag.mean();

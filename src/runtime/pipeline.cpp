@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -45,6 +44,37 @@ struct Ghost {
   geom::BBox box;
   int assigned_cam = -1;
 };
+
+/// The timing scope of one pipeline stage (DESIGN.md §9 stage table): its
+/// obs span, and a stopwatch added into the stage's FrameStats field (if it
+/// has one) at scope exit. Stages sharing a field accumulate into it.
+class StageScope {
+ public:
+  explicit StageScope(const char* span, double* ms = nullptr)
+      : span_(span), ms_(ms) {}
+  ~StageScope() {
+    if (ms_ != nullptr) *ms_ += watch_.elapsed_ms();
+  }
+
+ private:
+  obs::Span span_;
+  util::Stopwatch watch_;
+  double* ms_;
+};
+
+/// Has `box` left a `w` x `h` frame (clamping keeps under 30% of its area)?
+/// Retires tracks, lost-track searches and ghosts alike.
+bool left_frame(const geom::BBox& box, double w, double h) {
+  return box.area() <= 0.0 || box.clamped(w, h).area() < 0.3 * box.area();
+}
+
+/// Mean score of an inspection's detections; 1.0 when it found nothing.
+double mean_score(const std::vector<detect::Detection>& dets) {
+  if (dets.empty()) return 1.0;
+  double acc = 0.0;
+  for (const detect::Detection& d : dets) acc += d.score;
+  return acc / static_cast<double>(dets.size());
+}
 
 /// Greedy IoU non-maximum suppression; overlapping partial-frame ROIs can
 /// yield duplicate detections of one object. Sorts `dets` in place and
@@ -106,15 +136,17 @@ struct CameraNode {
   std::vector<LostTrack> lost;
 
   /// Per-camera regular-frame working memory (DESIGN.md §11): every
-  /// container regular_camera_step fills lives here, so a warm regular
+  /// container the regular-frame stages fill lives here, so a warm regular
   /// frame reuses capacity instead of allocating. Owned by the camera (not
   /// thread_local) because cameras run on arbitrary pool workers and the
   /// buffers' sizes track THIS camera's load.
   struct StepScratch {
-    std::vector<long> dropped;                          ///< cull_departed
     std::vector<long> inspected_ids;                    ///< policy mode
     std::vector<std::pair<long, geom::BBox>> inspect;   ///< policy mode
-    std::vector<std::pair<long, geom::BBox>> predicted; ///< fixed mode
+    /// Fixed-mode slice input, then the feature trace's label baseline.
+    std::vector<std::pair<long, geom::BBox>> predicted;
+    std::vector<geom::BBox> track_boxes;  ///< policy features
+    std::vector<track::Track> pre_update;  ///< policy mode: lost-list source
     std::vector<vision::SliceRegion> slices;
     std::vector<geom::BBox> explained;
     std::vector<geom::BBox> fresh;
@@ -128,38 +160,6 @@ struct CameraNode {
     std::vector<int> visible;        ///< takeover_pass successor electorate
   };
   StepScratch step;
-
-  /// Render this frame's ground truth into scratch.cur_frame().
-  void render_current(const std::vector<detect::GroundTruthObject>& gt,
-                      long frame) {
-    render_objs.clear();
-    render_objs.reserve(gt.size());
-    for (const detect::GroundTruthObject& o : gt) {
-      render_objs.push_back(
-          {o.id, geom::BBox{o.box.x / render_scale, o.box.y / render_scale,
-                            o.box.w / render_scale, o.box.h / render_scale}});
-    }
-    renderer.render_into(render_objs, frame,
-                         0x5EED0000ULL + static_cast<std::uint64_t>(index),
-                         scratch.cur_frame());
-  }
-
-  /// Drop tracks that have left the frame (the clamped box lost most of its
-  /// area); fills `dropped` (cleared first) with the ids dropped.
-  void cull_departed_into(std::vector<long>& dropped) {
-    dropped.clear();
-    auto& ts = tracker.tracks();
-    for (auto it = ts.begin(); it != ts.end();) {
-      const geom::BBox clipped = it->box.clamped(frame_w, frame_h);
-      if (it->box.area() <= 0.0 ||
-          clipped.area() < 0.3 * it->box.area()) {
-        dropped.push_back(it->id);
-        it = ts.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 };
 
 }  // namespace
@@ -203,6 +203,7 @@ struct Pipeline::Impl {
     }
     active.assign(m, 1);
     gpu_work.resize(m);
+    key_dets_.resize(m);
     tile_flow = cfg.tile_flow && m < pool.thread_count();
 
     // Detect-or-track layer. The fixed kind is fast-pathed: no policy
@@ -335,21 +336,27 @@ struct Pipeline::Impl {
     return out;
   }
 
-  // ---- frame steps -------------------------------------------------------
-
   /// Advance one evaluation frame (body of Pipeline::run_frame). Returns a
   /// reference to stats_, overwritten by the next call.
   const FrameStats& run_frame();
 
-  /// tight_masks degraded mode: a camera may only adopt a NEW object when
-  /// the cell under it has solo coverage (no other camera could pick it up).
-  /// Always true outside degraded mode or when no cell cache exists
-  /// (policies without association models are unaffected).
-  bool adopt_allowed(int cam, const geom::BBox& box) const {
-    if (!cfg.tight_masks || cell_cache.empty()) return true;
-    const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
-    return cache.coverage[cache.grid.flat(cache.grid.cell_at(box.center()))]
-               .size() <= 1;
+  /// May camera `cam` adopt a NEW object at `box` (Fig. 8)? BALB adopts
+  /// inside its priority masks, static partition inside its own cells,
+  /// BALB-Ind anywhere, BALB-Cen and Full never. The tight_masks degraded
+  /// mode also requires solo coverage (no other camera could pick the
+  /// object up) wherever a cell cache exists.
+  bool may_adopt(int cam, const geom::BBox& box) const {
+    if (cfg.tight_masks && !cell_cache.empty()) {
+      const CellCache& cache = cell_cache[static_cast<std::size_t>(cam)];
+      if (cache.coverage[cache.grid.flat(cache.grid.cell_at(box.center()))]
+              .size() > 1)
+        return false;
+    }
+    if (cfg.policy == Policy::kBalb)
+      return distributed.valid() && distributed.should_adopt_new(cam, box);
+    if (cfg.policy == Policy::kStaticPartition)
+      return sp_masks_ready && sp_masks.owns(cam, box.center());
+    return cfg.policy == Policy::kBalbInd;
   }
 
   /// Apply the transport's dropout schedule to the camera fleet. A camera
@@ -375,217 +382,282 @@ struct Pipeline::Impl {
     }
   }
 
-  void full_frame_step(const sim::MultiFrame& mf, FrameStats& stats,
-                       std::vector<std::vector<geom::BBox>>& reported) {
+  /// Correlation gate (sequential, before the parallel section): a camera is
+  /// hot when it is an entry point, has live tracks, is reachable from a
+  /// camera that does, or is inside its cooldown hold. Cold cameras skip
+  /// detection entirely this frame.
+  void refresh_gate() {
+    for (std::size_t i = 0; i < cameras.size(); ++i) {
+      const CameraNode& cam = cameras[i];
+      gate_activity_[i] =
+          active[i] ? static_cast<int>(cam.tracker.tracks().size() +
+                                       cam.ghosts.size() + cam.lost.size())
+                    : 0;
+    }
+    corr_gate->refresh(gate_activity_);
+    int cold = 0;
+    for (std::size_t i = 0; i < cameras.size(); ++i) {
+      gate_cold_[i] =
+          (active[i] && !corr_gate->hot(static_cast<int>(i))) ? 1 : 0;
+      cold += gate_cold_[i];
+    }
+    if (obs::enabled() && !cameras.empty())
+      obs::metrics()
+          .histogram("policy.gate_cold_frac")
+          .record(static_cast<double>(cold) /
+                  static_cast<double>(cameras.size()));
+  }
+
+  // ---- stages (DESIGN.md §9 stage table) --------------------------------
+
+  /// Stage `pipeline.render` (per online camera): render the ground truth
+  /// into scratch.cur_frame(); on a key frame also `rebase` flow on it so
+  /// the next frame has a reference.
+  void render_stage(CameraNode& cam, const sim::MultiFrame& mf, bool rebase) {
+    StageScope stage("pipeline.render");
+    const double scale = cam.render_scale;
+    cam.render_objs.clear();
+    for (const detect::GroundTruthObject& o :
+         mf.per_camera[static_cast<std::size_t>(cam.index)])
+      cam.render_objs.push_back({o.id, geom::BBox{o.box.x / scale,
+                                                  o.box.y / scale,
+                                                  o.box.w / scale,
+                                                  o.box.h / scale}});
+    cam.renderer.render_into(
+        cam.render_objs, mf.frame_index,
+        0x5EED0000ULL + static_cast<std::uint64_t>(cam.index),
+        cam.scratch.cur_frame());
+    if (rebase) cam.flow_engine.rebase(cam.scratch);
+  }
+
+  /// Stage `pipeline.inspect` (one scope per online camera, serial): full
+  /// inspection into key_dets_ (key frames, and every frame under Full),
+  /// plus the uplink of each list to the central stage when `uplink`.
+  /// Offline and gated-cold cameras contribute nothing; a cold camera still
+  /// renders, so flow has a reference when it heats up.
+  void inspect_stage(const sim::MultiFrame& mf, long eval_frame, bool uplink,
+                     FrameStats& stats,
+                     std::vector<std::vector<geom::BBox>>& reported) {
     for (CameraNode& cam : cameras) {
-      if (!active[static_cast<std::size_t>(cam.index)] ||
-          gate_cold(static_cast<std::size_t>(cam.index))) {
+      const auto i = static_cast<std::size_t>(cam.index);
+      std::vector<detect::Detection>& dets = key_dets_[i];
+      dets.clear();
+      if (!active[i] || gate_cold(i)) {
         stats.camera_infer_ms.push_back(0.0);
         continue;
       }
-      const auto dets = detector.detect_full(
-          mf.per_camera[static_cast<std::size_t>(cam.index)], cam.frame_w,
-          cam.frame_h, cam.rng);
+      StageScope stage("pipeline.inspect");
+      dets = detector.detect_full(mf.per_camera[i], cam.frame_w, cam.frame_h,
+                                  cam.rng);
       stats.camera_infer_ms.push_back(cam.device.full_frame_ms());
-      gpu_work[static_cast<std::size_t>(cam.index)].full_frame = true;
-      for (const detect::Detection& d : dets)
-        reported[static_cast<std::size_t>(cam.index)].push_back(d.box);
+      gpu_work[i].full_frame = true;
+      for (const detect::Detection& d : dets) reported[i].push_back(d.box);
+      if (!uplink) continue;
+      net::DetectionListMsg msg{static_cast<std::uint32_t>(cam.index),
+                                static_cast<std::uint64_t>(mf.frame_index),
+                                dets};
+      transport->send_uplink(eval_frame, cam.index, msg.encode().size());
     }
   }
+
+  /// One key frame's central plan, as the cameras adopt it.
+  struct HorizonPlan {
+    std::vector<assoc::AssociatedObject> objects;
+    core::Assignment assignment;
+    /// received[i] != 0 iff camera i's uplink and downlink both arrived.
+    std::vector<char> received;
+  };
 
   void key_frame_step(const sim::MultiFrame& mf, long eval_frame,
                       FrameStats& stats,
                       std::vector<std::vector<geom::BBox>>& reported) {
     MVS_SPAN("pipeline.key_frame");
-    const std::size_t m = cameras.size();
-    const bool central_stage = cfg.policy != Policy::kBalbInd;
-
-    // Full inspection on every online camera; offline cameras contribute
-    // nothing this horizon.
-    std::vector<std::vector<detect::Detection>> dets(m);
-    for (CameraNode& cam : cameras) {
-      const auto i = static_cast<std::size_t>(cam.index);
-      if (!active[i] || gate_cold(i)) {
-        // Offline — or correlation-gated cold, which skips the full
-        // inspection (and its uplink) but still renders below so flow has a
-        // reference when the camera heats up.
-        stats.camera_infer_ms.push_back(0.0);
-        continue;
+    const bool central = cfg.policy != Policy::kBalbInd;
+    inspect_stage(mf, eval_frame, /*uplink=*/central, stats, reported);
+    if (!central) {
+      adopt_stage(nullptr);
+    } else {
+      // The central stage only sees the detection lists the transport
+      // actually delivered — a lost uplink drops that camera out of this
+      // horizon's plan and BALB re-plans over the survivors.
+      const net::UplinkReport uplinks = transport->run_uplinks(eval_frame);
+      HorizonPlan plan;
+      plan.received.assign(cameras.size(), 0);
+      std::vector<std::vector<detect::Detection>> sched_dets(cameras.size());
+      for (std::size_t i = 0; i < cameras.size(); ++i) {
+        if (!active[i] || i >= uplinks.delivered.size() ||
+            !uplinks.delivered[i])
+          continue;
+        plan.received[i] = 1;
+        sched_dets[i] = key_dets_[i];
       }
-      dets[i] = detector.detect_full(mf.per_camera[i], cam.frame_w,
-                                     cam.frame_h, cam.rng);
-      stats.camera_infer_ms.push_back(cam.device.full_frame_ms());
-      gpu_work[i].full_frame = true;
-      for (const detect::Detection& d : dets[i]) reported[i].push_back(d.box);
-      if (central_stage) {
-        net::DetectionListMsg msg{static_cast<std::uint32_t>(cam.index),
-                                  static_cast<std::uint64_t>(mf.frame_index),
-                                  dets[i]};
-        transport->send_uplink(eval_frame, cam.index, msg.encode().size());
-      }
+      plan.objects = associate_stage(sched_dets, stats);
+      plan.assignment = central_stage(plan.objects, stats);
+      exchange_stage(mf.frame_index, eval_frame, plan, stats);
+      adopt_stage(&plan);
     }
 
-    if (!central_stage) {
-      for (CameraNode& cam : cameras)
-        if (active[static_cast<std::size_t>(cam.index)])
-          cam.tracker.reset_from_detections(
-              dets[static_cast<std::size_t>(cam.index)]);
-    } else {
-      MVS_SPAN("pipeline.central");
-      // Uplink phase: the central stage only sees the detection lists the
-      // transport actually delivered — a lost uplink drops that camera out
-      // of this horizon's plan and BALB re-plans over the survivors.
-      const net::UplinkReport uplinks = transport->run_uplinks(eval_frame);
-      std::vector<std::vector<detect::Detection>> sched_dets(m);
-      for (std::size_t i = 0; i < m; ++i)
-        if (active[i] && i < uplinks.delivered.size() && uplinks.delivered[i])
-          sched_dets[i] = dets[i];
+    for (CameraNode& cam : cameras)
+      if (active[static_cast<std::size_t>(cam.index)])
+        render_stage(cam, mf, /*rebase=*/true);
+  }
 
-      // Central stage: association + scheduling + masks.
-      util::Stopwatch central_sw;
-      const std::vector<assoc::AssociatedObject> objects =
-          associator->associate(sched_dets);
+  /// Stage `pipeline.associate` (central): cross-camera association of the
+  /// delivered detection lists into objects.
+  std::vector<assoc::AssociatedObject> associate_stage(
+      const std::vector<std::vector<detect::Detection>>& lists,
+      FrameStats& stats) {
+    StageScope stage("pipeline.associate", &stats.central_ms);
+    return associator->associate(lists);
+  }
 
-      core::MvsProblem problem;
-      problem.cameras = devices();
-      for (std::size_t j = 0; j < objects.size(); ++j) {
-        core::ObjectSpec spec;
-        spec.key = j;
-        spec.size_class.assign(m, 0);
-        for (std::size_t i = 0; i < m; ++i) {
-          if (objects[j].det_index[i] < 0) continue;
-          spec.coverage.push_back(static_cast<int>(i));
-          spec.size_class[i] = sizes.quantize(objects[j].boxes[i]);
-        }
-        problem.objects.push_back(std::move(spec));
-      }
-
-      core::Assignment assignment;
-      if (cfg.policy == Policy::kStaticPartition) {
-        const core::RegionKeyFn region_key = cached_region_key();
-        std::vector<int> owner(problem.objects.size(), 0);
-        for (std::size_t j = 0; j < problem.objects.size(); ++j) {
-          const int canonical = problem.objects[j].coverage.front();
-          owner[j] = core::power_weighted_owner(
-              problem.objects[j].coverage, problem.cameras,
-              region_key(canonical,
-                         objects[j].boxes[static_cast<std::size_t>(canonical)]
-                             .center()));
-        }
-        assignment = core::static_partition_assignment(problem, owner);
-        if (!sp_masks_ready) {
-          sp_masks = core::build_power_weighted_masks(
-              frame_dims(), cfg.mask_cell_px, cached_coverage(),
-              cached_region_key(), problem.cameras);
-          sp_masks_ready = true;
-        }
-      } else {
-        assignment = core::central_balb(problem);
-        if (cfg.policy == Policy::kBalb) {
-          // Offline cameras are cut from the priority order, so their mask
-          // cells fall to surviving cameras and takeover elections never
-          // pick a dead device.
-          std::vector<int> priority;
-          for (int c : assignment.priority_order())
-            if (active[static_cast<std::size_t>(c)]) priority.push_back(c);
-          distributed = core::DistributedStage(
-              core::build_priority_masks(frame_dims(), cfg.mask_cell_px,
-                                         cached_coverage(), priority),
-              priority);
-        }
-      }
-      stats.central_ms = central_sw.elapsed_ms();
-      emit(trace, {mf.frame_index, -1, TraceEventType::kKeyFrame, 0,
-                   assignment.system_latency()});
-      for (std::size_t i = 0; i < m; ++i)
-        for (std::size_t j = 0; j < problem.objects.size(); ++j)
-          if (assignment.x[i][j])
-            emit(trace, {mf.frame_index, static_cast<int>(i),
-                         TraceEventType::kAssignment, j, 0.0});
-
-      // Downlink: per-camera assignment slice to every online camera.
+  /// Stage `pipeline.central` (central): build the MVS problem, solve it
+  /// with BALB or the static partition, and rebuild that policy's masks.
+  core::Assignment central_stage(
+      const std::vector<assoc::AssociatedObject>& objects,
+      FrameStats& stats) {
+    StageScope stage("pipeline.central", &stats.central_ms);
+    const std::size_t m = cameras.size();
+    core::MvsProblem problem;
+    problem.cameras = devices();
+    for (std::size_t j = 0; j < objects.size(); ++j) {
+      core::ObjectSpec spec;
+      spec.key = j;
+      spec.size_class.assign(m, 0);
       for (std::size_t i = 0; i < m; ++i) {
-        if (!active[i]) continue;
-        net::AssignmentMsg msg;
-        msg.camera_id = static_cast<std::uint32_t>(i);
-        msg.frame_index = static_cast<std::uint64_t>(mf.frame_index);
-        for (std::size_t j = 0; j < problem.objects.size(); ++j)
-          if (assignment.x[i][j]) msg.assigned_keys.push_back(j);
-        transport->send_downlink(eval_frame, static_cast<int>(i),
-                                 msg.encode().size());
+        if (objects[j].det_index[i] < 0) continue;
+        spec.coverage.push_back(static_cast<int>(i));
+        spec.size_class[i] = sizes.quantize(objects[j].boxes[i]);
       }
-      const net::CycleReport report = transport->finish_cycle(eval_frame);
-      stats.comm_ms = report.comm_ms;
-      stats.queue_ms = report.queue_ms;
-      stats.retries = report.retries;
-      stats.dropped_msgs = report.dropped_msgs;
-      for (const net::MessageEvent& e : report.events)
-        emit(trace, {mf.frame_index, e.camera,
-                     e.kind == net::MessageEvent::Kind::kRetry
-                         ? TraceEventType::kNetRetry
-                         : TraceEventType::kNetDrop,
-                     static_cast<std::uint64_t>(e.uplink ? 1 : 0), e.time_ms});
+      problem.objects.push_back(std::move(spec));
+    }
 
-      // Cameras adopt their slices; unassigned-but-covered objects become
-      // ghosts (BALB distributed stage bookkeeping). A camera whose uplink
-      // or downlink was lost never saw the new plan: it keeps its previous
-      // tracks and ghosts for another horizon instead of resetting to an
-      // empty (and wrong) slice.
-      for (CameraNode& cam : cameras) {
-        const auto i = static_cast<std::size_t>(cam.index);
-        if (!active[i]) continue;
-        const bool plan_received =
-            i < uplinks.delivered.size() && uplinks.delivered[i] &&
-            i < report.downlink_delivered.size() &&
-            report.downlink_delivered[i];
-        if (!plan_received) continue;
+    core::Assignment assignment;
+    if (cfg.policy == Policy::kStaticPartition) {
+      const core::RegionKeyFn region_key = cached_region_key();
+      std::vector<int> owner(problem.objects.size(), 0);
+      for (std::size_t j = 0; j < problem.objects.size(); ++j) {
+        const int canonical = problem.objects[j].coverage.front();
+        owner[j] = core::power_weighted_owner(
+            problem.objects[j].coverage, problem.cameras,
+            region_key(canonical,
+                       objects[j].boxes[static_cast<std::size_t>(canonical)]
+                           .center()));
+      }
+      assignment = core::static_partition_assignment(problem, owner);
+      if (!sp_masks_ready) {
+        sp_masks = core::build_power_weighted_masks(
+            frame_dims(), cfg.mask_cell_px, cached_coverage(),
+            cached_region_key(), problem.cameras);
+        sp_masks_ready = true;
+      }
+    } else {
+      assignment = core::central_balb(problem);
+      if (cfg.policy == Policy::kBalb) {
+        // Offline cameras are cut from the priority order, so their mask
+        // cells fall to surviving cameras and takeover elections never
+        // pick a dead device.
+        std::vector<int> priority;
+        for (int c : assignment.priority_order())
+          if (active[static_cast<std::size_t>(c)]) priority.push_back(c);
+        distributed = core::DistributedStage(
+            core::build_priority_masks(frame_dims(), cfg.mask_cell_px,
+                                       cached_coverage(), priority),
+            priority);
+      }
+    }
+    return assignment;
+  }
+
+  /// Stage `pipeline.exchange` (central): trace the plan, downlink each
+  /// online camera's slice and close the transport cycle (netsim's
+  /// `net.cycle` nests here) with its comm, queueing and fault accounting.
+  /// A camera whose downlink was lost did not receive the plan.
+  void exchange_stage(long frame_index, long eval_frame, HorizonPlan& plan,
+                      FrameStats& stats) {
+    StageScope stage("pipeline.exchange");
+    emit(trace, {frame_index, -1, TraceEventType::kKeyFrame, 0,
+                 plan.assignment.system_latency()});
+    for (std::size_t i = 0; i < cameras.size(); ++i)
+      for (std::size_t j = 0; j < plan.objects.size(); ++j)
+        if (plan.assignment.x[i][j])
+          emit(trace, {frame_index, static_cast<int>(i),
+                       TraceEventType::kAssignment, j, 0.0});
+    for (std::size_t i = 0; i < cameras.size(); ++i) {
+      if (!active[i]) continue;
+      net::AssignmentMsg msg;
+      msg.camera_id = static_cast<std::uint32_t>(i);
+      msg.frame_index = static_cast<std::uint64_t>(frame_index);
+      for (std::size_t j = 0; j < plan.objects.size(); ++j)
+        if (plan.assignment.x[i][j]) msg.assigned_keys.push_back(j);
+      transport->send_downlink(eval_frame, static_cast<int>(i),
+                               msg.encode().size());
+    }
+    const net::CycleReport report = transport->finish_cycle(eval_frame);
+    for (std::size_t i = 0; i < cameras.size(); ++i)
+      if (i >= report.downlink_delivered.size() ||
+          !report.downlink_delivered[i])
+        plan.received[i] = 0;
+    stats.comm_ms = report.comm_ms;
+    stats.queue_ms = report.queue_ms;
+    stats.retries = report.retries;
+    stats.dropped_msgs = report.dropped_msgs;
+    for (const net::MessageEvent& e : report.events)
+      emit(trace, {frame_index, e.camera,
+                   e.kind == net::MessageEvent::Kind::kRetry
+                       ? TraceEventType::kNetRetry
+                       : TraceEventType::kNetDrop,
+                   static_cast<std::uint64_t>(e.uplink ? 1 : 0), e.time_ms});
+  }
+
+  /// Stage `pipeline.adopt`: every online camera takes up the new horizon.
+  /// Without a central plan (`plan` null: BALB-Ind) a camera tracks what it
+  /// detected itself. With one, it tracks its assigned slice and keeps the
+  /// covered-but-unassigned objects as ghosts (BALB). A camera that never
+  /// received the plan keeps its previous tracks and ghosts for another
+  /// horizon instead of resetting to an empty (and wrong) slice.
+  void adopt_stage(const HorizonPlan* plan) {
+    StageScope stage("pipeline.adopt");
+    // Each object's tracking camera, looked up by the ghosts that shadow it.
+    std::vector<int> tracker_cam;
+    if (plan && cfg.policy == Policy::kBalb) {
+      tracker_cam.assign(plan->objects.size(), -1);
+      for (std::size_t j = 0; j < plan->objects.size(); ++j)
+        for (std::size_t i = 0; i < cameras.size(); ++i)
+          if (plan->assignment.x[i][j]) tracker_cam[j] = static_cast<int>(i);
+    }
+    for (CameraNode& cam : cameras) {
+      const auto i = static_cast<std::size_t>(cam.index);
+      if (!active[i]) continue;
+      if (!plan) {
+        cam.tracker.reset_from_detections(key_dets_[i]);
+      } else if (plan->received[i]) {
         std::vector<detect::Detection> mine;
         cam.ghosts.clear();
-        for (std::size_t j = 0; j < problem.objects.size(); ++j) {
-          const int det_index = objects[j].det_index[i];
+        for (std::size_t j = 0; j < plan->objects.size(); ++j) {
+          const int det_index = plan->objects[j].det_index[i];
           if (det_index < 0) continue;
-          if (assignment.x[i][j]) {
-            mine.push_back(dets[i][static_cast<std::size_t>(det_index)]);
+          if (plan->assignment.x[i][j]) {
+            mine.push_back(key_dets_[i][static_cast<std::size_t>(det_index)]);
           } else if (cfg.policy == Policy::kBalb) {
-            int tracker_cam = -1;
-            for (std::size_t i2 = 0; i2 < m; ++i2)
-              if (assignment.x[i2][j]) tracker_cam = static_cast<int>(i2);
-            cam.ghosts.push_back(Ghost{j, objects[j].boxes[i], tracker_cam});
+            cam.ghosts.push_back(
+                Ghost{j, plan->objects[j].boxes[i], tracker_cam[j]});
           }
         }
         cam.tracker.reset_from_detections(mine);
       }
-    }
-
-    // Render the key frame so the next regular frame has a flow reference.
-    for (CameraNode& cam : cameras) {
-      if (!active[static_cast<std::size_t>(cam.index)]) continue;
-      cam.render_current(mf.per_camera[static_cast<std::size_t>(cam.index)],
-                         mf.frame_index);
-      cam.flow_engine.rebase(cam.scratch);
-    }
-
-    // The full inspection resets the detect-or-track clock of every online
-    // camera (staleness, drift and confidence all restart from here).
-    if (features_on) {
-      for (CameraNode& cam : cameras) {
-        const auto i = static_cast<std::size_t>(cam.index);
-        if (!active[i] || gate_cold(i)) continue;
-        double mean_score = 1.0;
-        if (!dets[i].empty()) {
-          double acc = 0.0;
-          for (const detect::Detection& d : dets[i]) acc += d.score;
-          mean_score = acc / static_cast<double>(dets[i].size());
-        }
-        cam.pstate.note_detect(
-            mean_score, 0, static_cast<int>(cam.tracker.tracks().size()));
-        cam.pstate.reset_baseline(
-            static_cast<int>(cam.tracker.tracks().size()));
-        cam.lost.clear();  // the full inspection just re-planned everything
-        if (frame_policy) frame_policy->reset(cam.index);
-      }
+      // The full inspection restarts this camera's detect-or-track clock:
+      // staleness, drift and confidence all count from here.
+      if (!features_on || gate_cold(i)) continue;
+      const int tracks = static_cast<int>(cam.tracker.tracks().size());
+      cam.pstate.note_detect(mean_score(key_dets_[i]), 0, tracks);
+      cam.pstate.reset_baseline(tracks);
+      cam.lost.clear();  // the full inspection just re-planned everything
+      if (frame_policy) frame_policy->reset(cam.index);
     }
   }
+
+  // ---- regular frame -----------------------------------------------------
 
   /// Per-camera regular-frame outcome, reduced into FrameStats afterwards so
   /// the parallel per-camera execution stays deterministic.
@@ -603,24 +675,12 @@ struct Pipeline::Impl {
     // Feature-trace row for this camera (recording only; empty otherwise).
     std::vector<double> trace_features;
     int trace_label = 0;
-
-    /// Reset for reuse across frames without touching trace_features'
-    /// capacity.
-    void reset() {
-      infer_ms = tracking_ms = distributed_ms = batching_ms = 0.0;
-      policy_decided = false;
-      policy_detect = true;
-      drift_at_decide = 0.0;
-      trace_features.clear();
-      trace_label = 0;
-    }
   };
 
   void regular_frame_step(const sim::MultiFrame& mf, FrameStats& stats,
                           std::vector<std::vector<geom::BBox>>& reported) {
     std::vector<CamFrameResult>& results = results_;
-    results.resize(cameras.size());
-    for (CamFrameResult& r : results) r.reset();
+    results.assign(cameras.size(), CamFrameResult{});
     // Cameras are independent (own tracker/RNG/frames); run them in
     // parallel, mirroring the real deployment where each smart camera is a
     // separate device.
@@ -666,377 +726,347 @@ struct Pipeline::Impl {
     }
   }
 
+  /// One camera's regular frame: render, flow, tracking, and — unless the
+  /// camera coasts track-only — batch, detect and the distributed stage.
   void regular_camera_step(CameraNode& cam, const sim::MultiFrame& mf,
                            std::vector<geom::BBox>& cam_reported,
                            CamFrameResult& result) {
-    const bool adopts_new = cfg.policy == Policy::kBalb ||
-                            cfg.policy == Policy::kBalbInd ||
-                            cfg.policy == Policy::kStaticPartition;
-    {
-      MVS_SPAN("pipeline.camera");
-      const auto i = static_cast<std::size_t>(cam.index);
-      const auto& gt = mf.per_camera[i];
-
-      cam.render_current(gt, mf.frame_index);
-
-      // --- tracking: optical flow + projection + slicing ---
-      std::optional<obs::Span> stage_span;
-      if (obs::enabled()) stage_span.emplace("pipeline.tracking");
-      util::Stopwatch track_sw;
-      cam.flow_engine.compute(cam.scratch, cam.flow,
-                              tile_flow ? &pool : nullptr);
-      const vision::FlowField& flow = cam.flow;
-      // Velocity-fallback coasting only under an active policy layer: the
-      // fixed pipeline (frame_policy == nullptr, even when recording a
-      // feature trace) keeps the flow-only prediction bit-identical.
-      cam.tracker.predict(flow, cam.render_scale, frame_policy != nullptr);
-      if (frame_policy) {
-        // Coast the lost-track search boxes on their last velocity; expire
-        // entries that timed out or left the frame.
-        for (auto it = cam.lost.begin(); it != cam.lost.end();) {
-          it->box = it->box.shifted(it->velocity);
-          const geom::BBox clipped =
-              it->box.clamped(cam.frame_w, cam.frame_h);
-          if (--it->ttl <= 0 || it->box.area() <= 0.0 ||
-              clipped.area() < 0.3 * it->box.area()) {
-            it = cam.lost.erase(it);
-          } else {
-            ++it;
-          }
-        }
-      }
-      cam.cull_departed_into(cam.step.dropped);
-      for (long dropped : cam.step.dropped) {
-        if (features_on) cam.pstate.note_departure();
-        emit(trace, {mf.frame_index, cam.index, TraceEventType::kTrackDrop,
-                     static_cast<std::uint64_t>(dropped), 0.0});
-      }
-      for (Ghost& g : cam.ghosts) {
-        const geom::BBox fb{g.box.x / cam.render_scale,
-                            g.box.y / cam.render_scale,
-                            g.box.w / cam.render_scale,
-                            g.box.h / cam.render_scale};
-        const geom::Vec2 motion = vision::median_flow_in(flow, fb);
-        g.box = g.box.shifted(
-            {motion.x * cam.render_scale, motion.y * cam.render_scale});
-      }
-      // --- detect-or-track decision (mvs::policy) ---
-      // The fixed kind never reaches here (frame_policy is null and
-      // features_on is false), so the pre-policy pipeline runs untouched.
-      bool do_detect = true;
-      policy::CameraFeatures feats;
-      if (features_on) {
-        ++cam.pstate.frames_since_detect;
-        std::vector<geom::BBox> track_boxes;
-        for (const track::Track& t : cam.tracker.tracks())
-          track_boxes.push_back(t.box);
-        cam.pstate.add_drift(
-            policy::mean_track_motion_px(flow, track_boxes, cam.render_scale));
-        std::vector<geom::BBox> known = track_boxes;
-        for (const Ghost& g : cam.ghosts) known.push_back(g.box);
-        feats = cam.pstate.features(
-            cam.tracker.tracks().size(), policy::normalized_residual(flow),
-            policy::unexplained_motion_fraction(flow, known,
-                                                cam.render_scale));
-      }
-      if (frame_policy) {
-        std::optional<obs::Span> decide_span;
-        if (obs::enabled()) decide_span.emplace("policy.decide");
-        const policy::Decision decision =
-            frame_policy->decide(cam.index, feats);
-        do_detect = decision.detect;
-        // The very next frame is a key frame: its full inspection re-plans
-        // every track, so a partial-frame correction now is paid for in full
-        // but useful for exactly one frame. Always coast into a key frame.
-        if (cfg.horizon_frames > 0 &&
-            (mf.frame_index + 1) % cfg.horizon_frames == 0)
-          do_detect = false;
-        result.policy_decided = true;
-        result.policy_detect = decision.detect;
-        result.drift_at_decide = feats.drift_px;
-      }
-      // Correlation-gated cold camera: coast track-only regardless of the
-      // frame policy. The gate only cools views with zero activity, so this
-      // frame is pure render + flow — no slices, no new-region search.
-      if (gate_cold(i)) do_detect = false;
-
-      if (!do_detect) {
-        // Track-only frame: coast on the flow-projected tracks. No slices,
-        // no batch plan, no detector RNG draws — zero GPU time this frame
-        // (gpu_work[i] stays empty, so a hosting fleet merges nothing).
-        result.tracking_ms = track_sw.elapsed_ms();
-        stage_span.reset();
-      } else {
-        // Per-track slice selection (policy mode): a detect frame inspects
-        // only the tracks that need correction — coasted two or more frames,
-        // carrying a miss, or too young for a velocity estimate. A track
-        // corrected on the previous frame coasts one more; a burst of
-        // trigger-driven detect frames therefore pays for the needy track
-        // (or lost-track search), not a full re-inspection of the camera.
-        // The search region grows with coast length (capped so a healthy
-        // box does not spill into the next size class). Fixed slicing keeps
-        // the exact predicted boxes of every track (bit-identity).
-        constexpr double kCoastSlackPx = 1.5;
-        constexpr double kCoastSlackCapPx = 6.0;
-        std::vector<long>& inspected_ids = cam.step.inspected_ids;
-        inspected_ids.clear();
-        std::vector<vision::SliceRegion>& slices = cam.step.slices;
-        if (frame_policy) {
-          std::vector<std::pair<long, geom::BBox>>& inspect =
-              cam.step.inspect;
-          inspect.clear();
-          for (const track::Track& t : cam.tracker.tracks()) {
-            if (t.frames_since_correct < 2 && t.missed == 0 &&
-                t.has_velocity)
-              continue;
-            const double slack = std::min(
-                kCoastSlackCapPx, kCoastSlackPx * t.frames_since_correct);
-            inspect.emplace_back(t.id, t.box.expanded(slack));
-            inspected_ids.push_back(t.id);
-          }
-          // Seed search slices from the lost list so a camera whose tracks
-          // all died is not blind until the next key frame.
-          for (const CameraNode::LostTrack& l : cam.lost)
-            inspect.emplace_back(-1L, l.box.expanded(2.0 * kCoastSlackPx));
-          vision::slice_regions_into(inspect, sizes, cam.frame_w,
-                                     cam.frame_h, /*margin=*/8.0, slices);
-        } else {
-          cam.tracker.predicted_boxes_into(cam.step.predicted);
-          vision::slice_regions_into(cam.step.predicted, sizes, cam.frame_w,
-                                     cam.frame_h, /*margin=*/8.0, slices);
-        }
-
-        if (adopts_new) {
-          // Moving pixels not explained by tracks or ghosts = new regions.
-          std::vector<geom::BBox>& explained = cam.step.explained;
-          explained.clear();
-          for (const track::Track& t : cam.tracker.tracks())
-            explained.push_back(t.box);
-          for (const Ghost& g : cam.ghosts) explained.push_back(g.box);
-          std::vector<geom::BBox>& fresh = cam.step.fresh;
-          vision::extract_new_regions_into(flow, explained, cam.render_scale,
-                                           {}, cam.step.regions, fresh);
-          // Fig. 8 policy applied at inspection time: a camera only searches
-          // for new objects inside cells it owns — inspecting a region whose
-          // tracking it would never adopt is wasted GPU time.
-          std::erase_if(fresh, [&](const geom::BBox& box) {
-            if (!adopt_allowed(cam.index, box)) return true;
-            switch (cfg.policy) {
-              case Policy::kBalb:
-                return !(distributed.valid() &&
-                         distributed.should_adopt_new(cam.index, box));
-              case Policy::kStaticPartition:
-                return !(sp_masks_ready &&
-                         sp_masks.owns(cam.index, box.center()));
-              default:
-                return false;  // BALB-Ind inspects everything it sees
-            }
-          });
-          // A merged moving cluster (e.g. a queue released by a green light)
-          // can span far more than one object; tile it into 256-class
-          // slices, which batch far cheaper than serial 512-class
-          // inspections.
-          constexpr double kTile = 240.0;  // 240 + 2x8 margin -> class 256
-          for (const geom::BBox& box : fresh) {
-            const int tiles_x =
-                std::max(1, static_cast<int>(std::ceil(box.w / kTile)));
-            const int tiles_y =
-                std::max(1, static_cast<int>(std::ceil(box.h / kTile)));
-            for (int ty = 0; ty < tiles_y; ++ty) {
-              for (int tx = 0; tx < tiles_x; ++tx) {
-                const geom::BBox tile{box.x + tx * box.w / tiles_x,
-                                      box.y + ty * box.h / tiles_y,
-                                      box.w / tiles_x, box.h / tiles_y};
-                vision::SliceRegion region;
-                region.track_id = -1;
-                region.size_class = sizes.quantize(tile);
-                region.roi = sizes.expand_to_class(tile, region.size_class)
-                                 .clamped(cam.frame_w, cam.frame_h);
-                if (!region.roi.empty()) slices.push_back(region);
-              }
-            }
-          }
-        }
-        result.tracking_ms = track_sw.elapsed_ms();
-        stage_span.reset();
-
-        // --- GPU batching: plan + assemble input tensors ---
-        if (obs::enabled()) stage_span.emplace("gpu.batch");
-        util::Stopwatch batch_sw;
-        // Built directly in the fleet-facing demand slot: run_frame cleared
-        // it, and writing in place keeps its capacity frame over frame.
-        std::vector<geom::SizeClassId>& tasks = gpu_work[i].tasks;
-        tasks.reserve(slices.size());
-        for (const vision::SliceRegion& s : slices)
-          tasks.push_back(s.size_class);
-        gpu::plan_batches_into(tasks, cam.device, cam.step.batch_counts,
-                               cam.step.plan);
-        const gpu::BatchPlan& plan = cam.step.plan;
-        assemble_batches(cam, cam.scratch.cur_frame(), slices);
-        MVS_COUNT("gpu.tasks", tasks.size());
-        MVS_COUNT("gpu.batches", plan.batches.size());
-        MVS_HIST("gpu.plan_latency_ms", plan.actual_latency_ms);
-        result.batching_ms = batch_sw.elapsed_ms();
-        stage_span.reset();
-
-        result.infer_ms = plan.actual_latency_ms;
-
-        // --- partial-frame inspection ---
-        std::vector<detect::Detection>& dets = cam.step.dets;
-        dets.clear();
-        for (const vision::SliceRegion& s : slices) {
-          detector.detect_roi_append(gt, s.roi, sizes.size_of(s.size_class),
-                                     cam.rng, dets);
-        }
-        nms_into(dets, 0.6, cam.step.nms_kept);
-        // Post-NMS survivors become `dets` (the raw buffer becomes next
-        // frame's NMS scratch) — same contents and order as the old
-        // by-value `dets = nms(std::move(dets), 0.6)`.
-        dets.swap(cam.step.nms_kept);
-
-        // Trace-label baseline: what the tracker believed before the
-        // detections corrected it (recording only).
-        std::vector<std::pair<long, geom::BBox>> predicted_before;
-        if (feature_trace.is_open())
-          predicted_before = cam.tracker.predicted_boxes();
-        // Snapshot so tracks removed by update() can enter the lost list
-        // with their final box and velocity (policy mode only).
-        std::vector<track::Track> pre_update;
-        if (frame_policy) pre_update = cam.tracker.tracks();
-
-        cam.tracker.update_into(dets, frame_policy ? &inspected_ids : nullptr,
-                                cam.step.update);
-        const track::FlowTracker::UpdateResult& update = cam.step.update;
-        if (frame_policy) {
-          // Searching past the next key frame is pointless — it re-plans.
-          constexpr int kLostSearchTtl = 10;
-          for (long removed : update.removed_track_ids) {
-            for (const track::Track& t : pre_update) {
-              if (t.id != removed) continue;
-              cam.lost.push_back({t.box, t.velocity, kLostSearchTtl});
-              break;
-            }
-          }
-        }
-        for (long removed : update.removed_track_ids)
-          emit(trace, {mf.frame_index, cam.index, TraceEventType::kTrackDrop,
-                       static_cast<std::uint64_t>(removed), 0.0});
-
-        // --- distributed BALB stage ---
-        if (obs::enabled()) stage_span.emplace("pipeline.distributed");
-        util::Stopwatch dist_sw;
-        int adopted = 0;
-        for (std::size_t d : update.unmatched_detections) {
-          const detect::Detection& det = dets[d];
-          // Re-acquisition first: a detection landing on a lost-track search
-          // box recovers an object this camera was already responsible for,
-          // so it bypasses the new-object gates below (policy mode only —
-          // the lost list is empty otherwise).
-          bool reacquired = false;
-          for (auto it = cam.lost.begin(); it != cam.lost.end(); ++it) {
-            if (geom::iou(det.box, it->box) <= 0.1) continue;
-            const long id = cam.tracker.add_track(det);
-            cam.lost.erase(it);
-            ++adopted;
-            reacquired = true;
-            emit(trace, {mf.frame_index, cam.index, TraceEventType::kAdoptNew,
-                         static_cast<std::uint64_t>(id), 0.0});
-            break;
-          }
-          if (reacquired) continue;
-          // Detections overlapping a ghost belong to an object tracked
-          // elsewhere; never adopt those as new.
-          bool ghost_owned = false;
-          for (const Ghost& g : cam.ghosts) {
-            if (geom::iou(det.box, g.box) > 0.25) {
-              ghost_owned = true;
-              break;
-            }
-          }
-          if (ghost_owned) continue;
-
-          bool adopt = false;
-          switch (cfg.policy) {
-            case Policy::kBalbInd: adopt = true; break;
-            case Policy::kBalb:
-              adopt = distributed.valid() &&
-                      distributed.should_adopt_new(cam.index, det.box);
-              break;
-            case Policy::kStaticPartition:
-              adopt = sp_masks_ready &&
-                      sp_masks.owns(cam.index, det.box.center());
-              break;
-            case Policy::kBalbCen:
-            case Policy::kFull: break;
-          }
-          if (adopt && !adopt_allowed(cam.index, det.box)) adopt = false;
-          // Under a detect-or-track policy, sparse inspection orphans
-          // objects far more often (the assigned camera's track dies between
-          // its inspections). This detection is already paid for and no
-          // ghost claims it — no camera anywhere is tracking the object —
-          // so the spatial-ownership gate (which exists to avoid wasted
-          // SEARCH, not to discard hits in hand) must not drop it. Fixed
-          // mode keeps the strict gate: its every-frame correction makes
-          // orphaning a non-event, and bit-identity is contractual.
-          if (!adopt && frame_policy) adopt = true;
-          if (adopt) {
-            const long id = cam.tracker.add_track(det);
-            ++adopted;
-            emit(trace, {mf.frame_index, cam.index, TraceEventType::kAdoptNew,
-                         static_cast<std::uint64_t>(id), 0.0});
-          }
-        }
-
-        int takeovers = 0;
-        if (cfg.policy == Policy::kBalb && distributed.valid()) {
-          takeovers = takeover_pass(cam, mf.frame_index);
-        }
-        result.distributed_ms = dist_sw.elapsed_ms();
-        stage_span.reset();
-
-        if (features_on) {
-          // Inspection outcome feeds the next decisions: churn (tracks
-          // added + dropped) and the mean detection confidence, which
-          // decays until the next detect.
-          double mean_score = 1.0;
-          if (!dets.empty()) {
-            double acc = 0.0;
-            for (const detect::Detection& d : dets) acc += d.score;
-            mean_score = acc / static_cast<double>(dets.size());
-          }
-          const int churn_events =
-              adopted + takeovers +
-              static_cast<int>(update.removed_track_ids.size());
-          if (feature_trace.is_open()) {
-            // Counterfactual label: did this inspection change anything the
-            // coasting tracker would have gotten wrong? New/lost tracks, or
-            // a matched track whose corrected box disagrees with the flow
-            // prediction.
-            constexpr double kLabelIou = 0.85;
-            bool corrected = false;
-            for (long id : update.matched_track_ids) {
-              const track::Track* now = cam.tracker.find(id);
-              if (!now) continue;
-              for (const auto& [pid, pbox] : predicted_before) {
-                if (pid != id) continue;
-                if (geom::iou(pbox, now->box) < kLabelIou) corrected = true;
-                break;
-              }
-              if (corrected) break;
-            }
-            result.trace_features = feats.to_vector();
-            result.trace_label = (churn_events > 0 || corrected) ? 1 : 0;
-          }
-          cam.pstate.note_detect(
-              mean_score, churn_events,
-              static_cast<int>(cam.tracker.tracks().size()));
-        }
-      }
-
-      cam.scratch.advance();  // this frame becomes the next flow reference
-      for (const track::Track& t : cam.tracker.tracks())
-        cam_reported.push_back(t.box);
+    MVS_SPAN("pipeline.camera");
+    render_stage(cam, mf, /*rebase=*/false);
+    flow_stage(cam, result);
+    policy::CameraFeatures feats;
+    if (tracking_stage(cam, mf.frame_index, feats, result)) {
+      batch_stage(cam, result);
+      detect_stage(cam, mf);
+      const int churn_events =
+          distributed_stage(cam, mf.frame_index, result) +
+          static_cast<int>(cam.step.update.removed_track_ids.size());
+      if (features_on) note_inspection(cam, feats, churn_events, result);
     }
+    cam.scratch.advance();  // this frame becomes the next flow reference
+    for (const track::Track& t : cam.tracker.tracks())
+      cam_reported.push_back(t.box);
+  }
+
+  /// Stage `pipeline.flow` (per camera): block optical flow from the
+  /// previous frame, tiled across idle pool workers when enabled.
+  void flow_stage(CameraNode& cam, CamFrameResult& result) {
+    StageScope stage("pipeline.flow", &result.tracking_ms);
+    cam.flow_engine.compute(cam.scratch, cam.flow,
+                            tile_flow ? &pool : nullptr);
+  }
+
+  /// Stage `pipeline.tracking` (per camera): project along the flow, decide
+  /// detect-or-track and, on a detect frame, pick the slices and search for
+  /// new regions. Returns false for a track-only frame: no slices, no batch
+  /// plan, no detector RNG draws, zero GPU time (gpu_work stays empty).
+  bool tracking_stage(CameraNode& cam, long frame_index,
+                      policy::CameraFeatures& feats, CamFrameResult& result) {
+    StageScope stage("pipeline.tracking", &result.tracking_ms);
+    project_tracks(cam, frame_index);
+    if (!decide_detect(cam, frame_index, feats, result)) return false;
+    select_slices(cam);
+    // BALB-Cen never adopts between key frames, so it never searches.
+    if (cfg.policy != Policy::kBalbCen) search_new_regions(cam);
+    return true;
+  }
+
+  /// Move tracks, lost-track search boxes (policy mode) and ghosts along
+  /// the flow; retire what left the frame.
+  void project_tracks(CameraNode& cam, long frame_index) {
+    const vision::FlowField& flow = cam.flow;
+    // Velocity-fallback coasting only under an active policy layer: the
+    // fixed pipeline (frame_policy == nullptr, even when recording a
+    // feature trace) keeps the flow-only prediction bit-identical.
+    cam.tracker.predict(flow, cam.render_scale, frame_policy != nullptr);
+    if (frame_policy) {
+      // Lost-track search boxes coast on their last velocity and expire
+      // when they time out or leave the frame.
+      for (auto it = cam.lost.begin(); it != cam.lost.end();) {
+        it->box = it->box.shifted(it->velocity);
+        if (--it->ttl <= 0 || left_frame(it->box, cam.frame_w, cam.frame_h))
+          it = cam.lost.erase(it);
+        else
+          ++it;
+      }
+    }
+    std::vector<track::Track>& tracks = cam.tracker.tracks();
+    for (auto it = tracks.begin(); it != tracks.end();) {
+      if (!left_frame(it->box, cam.frame_w, cam.frame_h)) {
+        ++it;
+        continue;
+      }
+      if (features_on) cam.pstate.note_departure();
+      emit(trace, {frame_index, cam.index, TraceEventType::kTrackDrop,
+                   static_cast<std::uint64_t>(it->id), 0.0});
+      it = tracks.erase(it);
+    }
+    for (Ghost& g : cam.ghosts) {
+      const geom::BBox fb{g.box.x / cam.render_scale,
+                          g.box.y / cam.render_scale,
+                          g.box.w / cam.render_scale,
+                          g.box.h / cam.render_scale};
+      const geom::Vec2 motion = vision::median_flow_in(flow, fb);
+      g.box = g.box.shifted(
+          {motion.x * cam.render_scale, motion.y * cam.render_scale});
+    }
+  }
+
+  /// Detect-or-track decision (mvs::policy). The fixed kind skips the
+  /// feature bookkeeping (frame_policy is null, features_on false) and
+  /// detects every frame, so the pre-policy pipeline runs untouched.
+  bool decide_detect(CameraNode& cam, long frame_index,
+                     policy::CameraFeatures& feats, CamFrameResult& result) {
+    const vision::FlowField& flow = cam.flow;
+    bool do_detect = true;
+    if (features_on) {
+      ++cam.pstate.frames_since_detect;
+      std::vector<geom::BBox>& boxes = cam.step.track_boxes;
+      boxes.clear();
+      for (const track::Track& t : cam.tracker.tracks())
+        boxes.push_back(t.box);
+      cam.pstate.add_drift(
+          policy::mean_track_motion_px(flow, boxes, cam.render_scale));
+      // Unexplained motion reads track and ghost boxes in flow coordinates.
+      for (const Ghost& g : cam.ghosts) boxes.push_back(g.box);
+      const double inv = 1.0 / cam.render_scale;
+      for (geom::BBox& b : boxes)
+        b = {b.x * inv, b.y * inv, b.w * inv, b.h * inv};
+      feats = cam.pstate.features(
+          cam.tracker.tracks().size(), policy::normalized_residual(flow),
+          policy::unexplained_motion_fraction(flow, boxes));
+    }
+    if (frame_policy) {
+      MVS_SPAN("policy.decide");
+      const policy::Decision decision =
+          frame_policy->decide(cam.index, feats);
+      do_detect = decision.detect;
+      // The very next frame is a key frame: its full inspection re-plans
+      // every track, so a partial-frame correction now is paid for in full
+      // but useful for exactly one frame. Always coast into a key frame.
+      if (cfg.horizon_frames > 0 &&
+          (frame_index + 1) % cfg.horizon_frames == 0)
+        do_detect = false;
+      result.policy_decided = true;
+      result.policy_detect = decision.detect;
+      result.drift_at_decide = feats.drift_px;
+    }
+    // Correlation-gated cold camera: coast track-only regardless of the
+    // frame policy. The gate only cools views with zero activity, so this
+    // frame is pure render + flow — no slices, no new-region search.
+    if (gate_cold(static_cast<std::size_t>(cam.index))) do_detect = false;
+    return do_detect;
+  }
+
+  /// Inspection slices of a detect frame. Fixed slicing keeps the exact
+  /// predicted box of every track (bit-identity). Policy mode inspects only
+  /// the tracks that need correction — coasted two or more frames, carrying
+  /// a miss, or too young for a velocity estimate — so a burst of detect
+  /// frames pays for the needy track (or lost-track search), not the whole
+  /// camera. The search region grows with coast length (capped so a healthy
+  /// box does not spill into the next size class).
+  void select_slices(CameraNode& cam) {
+    constexpr double kCoastSlackPx = 1.5;
+    constexpr double kCoastSlackCapPx = 6.0;
+    cam.step.inspected_ids.clear();
+    if (!frame_policy) {
+      cam.tracker.predicted_boxes_into(cam.step.predicted);
+      vision::slice_regions_into(cam.step.predicted, sizes, cam.frame_w,
+                                 cam.frame_h, /*margin=*/8.0, cam.step.slices);
+      return;
+    }
+    std::vector<std::pair<long, geom::BBox>>& inspect = cam.step.inspect;
+    inspect.clear();
+    for (const track::Track& t : cam.tracker.tracks()) {
+      if (t.frames_since_correct < 2 && t.missed == 0 && t.has_velocity)
+        continue;
+      const double slack = std::min(kCoastSlackCapPx,
+                                    kCoastSlackPx * t.frames_since_correct);
+      inspect.emplace_back(t.id, t.box.expanded(slack));
+      cam.step.inspected_ids.push_back(t.id);
+    }
+    // Seed search slices from the lost list so a camera whose tracks all
+    // died is not blind until the next key frame.
+    for (const CameraNode::LostTrack& l : cam.lost)
+      inspect.emplace_back(-1L, l.box.expanded(2.0 * kCoastSlackPx));
+    vision::slice_regions_into(inspect, sizes, cam.frame_w, cam.frame_h,
+                               /*margin=*/8.0, cam.step.slices);
+  }
+
+  /// New-object search: moving pixels no track or ghost explains become
+  /// new regions, appended to the slices.
+  void search_new_regions(CameraNode& cam) {
+    std::vector<geom::BBox>& explained = cam.step.explained;
+    explained.clear();
+    for (const track::Track& t : cam.tracker.tracks())
+      explained.push_back(t.box);
+    for (const Ghost& g : cam.ghosts) explained.push_back(g.box);
+    std::vector<geom::BBox>& fresh = cam.step.fresh;
+    vision::extract_new_regions_into(cam.flow, explained, cam.render_scale,
+                                     {}, cam.step.regions, fresh);
+    // Fig. 8 policy applied at inspection time: a camera only searches for
+    // new objects inside cells it owns — inspecting a region whose tracking
+    // it would never adopt is wasted GPU time.
+    std::erase_if(fresh, [&](const geom::BBox& box) {
+      return !may_adopt(cam.index, box);
+    });
+    // A merged moving cluster (e.g. a queue released by a green light) can
+    // span far more than one object; tile it into 256-class slices, which
+    // batch far cheaper than serial 512-class inspections.
+    constexpr double kTile = 240.0;  // 240 + 2x8 margin -> class 256
+    for (const geom::BBox& box : fresh) {
+      const int tiles_x =
+          std::max(1, static_cast<int>(std::ceil(box.w / kTile)));
+      const int tiles_y =
+          std::max(1, static_cast<int>(std::ceil(box.h / kTile)));
+      for (int ty = 0; ty < tiles_y; ++ty) {
+        for (int tx = 0; tx < tiles_x; ++tx) {
+          const geom::BBox tile{box.x + tx * box.w / tiles_x,
+                                box.y + ty * box.h / tiles_y,
+                                box.w / tiles_x, box.h / tiles_y};
+          vision::SliceRegion region;
+          region.track_id = -1;
+          region.size_class = sizes.quantize(tile);
+          region.roi = sizes.expand_to_class(tile, region.size_class)
+                           .clamped(cam.frame_w, cam.frame_h);
+          if (!region.roi.empty()) cam.step.slices.push_back(region);
+        }
+      }
+    }
+  }
+
+  /// Stage `gpu.batch` (per camera): plan this frame's GPU batches and
+  /// assemble their input tensors. The plan's simulated latency is the
+  /// camera's inference time this frame.
+  void batch_stage(CameraNode& cam, CamFrameResult& result) {
+    StageScope stage("gpu.batch", &result.batching_ms);
+    const std::vector<vision::SliceRegion>& slices = cam.step.slices;
+    // Built directly in the fleet-facing demand slot: run_frame cleared it,
+    // and writing in place keeps its capacity frame over frame.
+    std::vector<geom::SizeClassId>& tasks =
+        gpu_work[static_cast<std::size_t>(cam.index)].tasks;
+    tasks.reserve(slices.size());
+    for (const vision::SliceRegion& s : slices) tasks.push_back(s.size_class);
+    gpu::plan_batches_into(tasks, cam.device, cam.step.batch_counts,
+                           cam.step.plan);
+    const gpu::BatchPlan& plan = cam.step.plan;
+    assemble_batches(cam, cam.scratch.cur_frame(), slices);
+    MVS_COUNT("gpu.tasks", tasks.size());
+    MVS_COUNT("gpu.batches", plan.batches.size());
+    MVS_HIST("gpu.plan_latency_ms", plan.actual_latency_ms);
+    result.infer_ms = plan.actual_latency_ms;
+  }
+
+  /// Copy every slice's pixels (at render resolution) into a contiguous
+  /// batch buffer — the real data-movement cost behind GPU batching, which
+  /// is what the paper's "Batching" overhead column measures.
+  void assemble_batches(CameraNode& cam, const vision::Image& frame,
+                        const std::vector<vision::SliceRegion>& slices) {
+    std::size_t offset = 0;
+    for (const vision::SliceRegion& s : slices) {
+      const int side = std::max(
+          1, static_cast<int>(sizes.size_of(s.size_class) / cam.render_scale));
+      const std::size_t end = offset + static_cast<std::size_t>(side) *
+                                           static_cast<std::size_t>(side);
+      if (cam.batch_buffer.size() < end) cam.batch_buffer.resize(end);
+      const int x0 = static_cast<int>(s.roi.x / cam.render_scale);
+      const int y0 = static_cast<int>(s.roi.y / cam.render_scale);
+      for (int y = 0; y < side; ++y)
+        for (int x = 0; x < side; ++x)
+          cam.batch_buffer[offset++] = frame.at_clamped(x0 + x, y0 + y);
+    }
+    cam.batch_buffer.resize(offset);
+  }
+
+  /// Stage `pipeline.detect` (per camera): partial-frame inspection of the
+  /// slices, NMS and the tracker update. Tracks the update drops are
+  /// emitted and, in policy mode, enter the lost list.
+  void detect_stage(CameraNode& cam, const sim::MultiFrame& mf) {
+    StageScope stage("pipeline.detect");
+    const auto& gt = mf.per_camera[static_cast<std::size_t>(cam.index)];
+    std::vector<detect::Detection>& dets = cam.step.dets;
+    dets.clear();
+    for (const vision::SliceRegion& s : cam.step.slices)
+      detector.detect_roi_append(gt, s.roi, sizes.size_of(s.size_class),
+                                 cam.rng, dets);
+    nms_into(dets, 0.6, cam.step.nms_kept);
+    // Post-NMS survivors become `dets`; the raw buffer becomes next frame's
+    // NMS scratch.
+    dets.swap(cam.step.nms_kept);
+
+    // Trace-label baseline: what the tracker believed before the detections
+    // corrected it (recording only).
+    if (feature_trace.is_open())
+      cam.tracker.predicted_boxes_into(cam.step.predicted);
+    // Snapshot so tracks removed by update() can enter the lost list with
+    // their final box and velocity (policy mode only).
+    if (frame_policy) cam.step.pre_update = cam.tracker.tracks();
+
+    cam.tracker.update_into(dets,
+                            frame_policy ? &cam.step.inspected_ids : nullptr,
+                            cam.step.update);
+    // Searching past the next key frame is pointless — it re-plans.
+    constexpr int kLostSearchTtl = 10;
+    for (long removed : cam.step.update.removed_track_ids) {
+      emit(trace, {mf.frame_index, cam.index, TraceEventType::kTrackDrop,
+                   static_cast<std::uint64_t>(removed), 0.0});
+      if (!frame_policy) continue;
+      for (const track::Track& t : cam.step.pre_update) {
+        if (t.id != removed) continue;
+        cam.lost.push_back({t.box, t.velocity, kLostSearchTtl});
+        break;
+      }
+    }
+  }
+
+  /// Stage `pipeline.distributed` (per camera): the BALB distributed stage.
+  /// Unmatched detections are re-acquired, left to the ghost that owns
+  /// them, or adopted as new objects where the camera may adopt; then
+  /// orphaned ghosts are taken over. Returns tracks added (policy churn).
+  int distributed_stage(CameraNode& cam, long frame_index,
+                        CamFrameResult& result) {
+    StageScope stage("pipeline.distributed", &result.distributed_ms);
+    int added = 0;
+    for (std::size_t d : cam.step.update.unmatched_detections) {
+      const detect::Detection& det = cam.step.dets[d];
+      // Re-acquisition first: a detection landing on a lost-track search box
+      // recovers an object this camera was already responsible for, so it
+      // bypasses the new-object gates below (policy mode only — the lost
+      // list is empty otherwise).
+      const auto lost = std::find_if(
+          cam.lost.begin(), cam.lost.end(),
+          [&](const CameraNode::LostTrack& l) {
+            return geom::iou(det.box, l.box) > 0.1;
+          });
+      if (lost != cam.lost.end()) {
+        cam.lost.erase(lost);
+      } else {
+        // Detections overlapping a ghost belong to an object tracked
+        // elsewhere; never adopt those as new.
+        const bool ghost_owned =
+            std::any_of(cam.ghosts.begin(), cam.ghosts.end(),
+                        [&](const Ghost& g) {
+                          return geom::iou(det.box, g.box) > 0.25;
+                        });
+        if (ghost_owned) continue;
+        // Under a detect-or-track policy, sparse inspection orphans objects
+        // far more often (the assigned camera's track dies between its
+        // inspections). This detection is already paid for and no ghost
+        // claims it — no camera anywhere is tracking the object — so the
+        // spatial-ownership gate (which exists to avoid wasted SEARCH, not
+        // to discard hits in hand) must not drop it. Fixed mode keeps the
+        // strict gate: its every-frame correction makes orphaning a
+        // non-event, and bit-identity is contractual.
+        if (!frame_policy && !may_adopt(cam.index, det.box)) continue;
+      }
+      const long id = cam.tracker.add_track(det);
+      ++added;
+      emit(trace, {frame_index, cam.index, TraceEventType::kAdoptNew,
+                   static_cast<std::uint64_t>(id), 0.0});
+    }
+    if (cfg.policy == Policy::kBalb && distributed.valid())
+      added += takeover_pass(cam, frame_index);
+    return added;
   }
 
   /// Distributed-stage case 2: ghosts whose assigned camera lost sight of
@@ -1049,8 +1079,7 @@ struct Pipeline::Impl {
     std::vector<Ghost>& kept = cam.step.ghosts_kept;
     kept.clear();
     for (Ghost& g : cam.ghosts) {
-      const geom::BBox clipped = g.box.clamped(cam.frame_w, cam.frame_h);
-      if (g.box.area() <= 0.0 || clipped.area() < 0.3 * g.box.area())
+      if (left_frame(g.box, cam.frame_w, cam.frame_h))
         continue;  // left my view too; drop
       // A dropped-out assigned camera definitely lost the object — the
       // model prediction only matters while the device is alive.
@@ -1095,28 +1124,33 @@ struct Pipeline::Impl {
     return takeovers;
   }
 
-  /// Copy every slice's pixels (at render resolution) into a contiguous
-  /// batch buffer — the real data-movement cost behind GPU batching, which
-  /// is what the paper's "Batching" overhead column measures.
-  void assemble_batches(CameraNode& cam, const vision::Image& frame,
-                        const std::vector<vision::SliceRegion>& slices) {
-    std::size_t total = 0;
-    for (const vision::SliceRegion& s : slices) {
-      const int side = std::max(
-          1, static_cast<int>(sizes.size_of(s.size_class) / cam.render_scale));
-      total += static_cast<std::size_t>(side) * static_cast<std::size_t>(side);
+  /// A detect frame's outcome for the policy features: churn (tracks added
+  /// and dropped) and the mean detection confidence, which decays until the
+  /// next detect. When recording, also this camera's feature-trace row.
+  void note_inspection(CameraNode& cam, const policy::CameraFeatures& feats,
+                       int churn_events, CamFrameResult& result) {
+    if (feature_trace.is_open()) {
+      // Counterfactual label: did this inspection change anything the
+      // coasting tracker would have gotten wrong? New/lost tracks, or a
+      // matched track whose corrected box disagrees with the flow
+      // prediction.
+      constexpr double kLabelIou = 0.85;
+      bool corrected = false;
+      for (long id : cam.step.update.matched_track_ids) {
+        const track::Track* now = cam.tracker.find(id);
+        if (!now) continue;
+        for (const auto& [pid, pbox] : cam.step.predicted) {
+          if (pid != id) continue;
+          if (geom::iou(pbox, now->box) < kLabelIou) corrected = true;
+          break;
+        }
+        if (corrected) break;
+      }
+      result.trace_features = feats.to_vector();
+      result.trace_label = (churn_events > 0 || corrected) ? 1 : 0;
     }
-    cam.batch_buffer.resize(total);
-    std::size_t offset = 0;
-    for (const vision::SliceRegion& s : slices) {
-      const int side = std::max(
-          1, static_cast<int>(sizes.size_of(s.size_class) / cam.render_scale));
-      const int x0 = static_cast<int>(s.roi.x / cam.render_scale);
-      const int y0 = static_cast<int>(s.roi.y / cam.render_scale);
-      for (int y = 0; y < side; ++y)
-        for (int x = 0; x < side; ++x)
-          cam.batch_buffer[offset++] = frame.at_clamped(x0 + x, y0 + y);
-    }
+    cam.pstate.note_detect(mean_score(cam.step.dets), churn_events,
+                           static_cast<int>(cam.tracker.tracks().size()));
   }
 
   /// See Pipeline::skip_frame(): advance the player and frame counter (key
@@ -1129,6 +1163,19 @@ struct Pipeline::Impl {
       w.full_frame = false;
       w.tasks.clear();
     }
+  }
+
+  /// Snapshot of the frames run from `first` on, with the aggregate recall
+  /// over everything run so far.
+  PipelineResult snapshot(std::size_t first) const {
+    PipelineResult result;
+    result.scenario = scenario_name_;
+    result.policy = cfg.policy;
+    result.frames.assign(
+        all_frames.begin() + static_cast<std::ptrdiff_t>(first),
+        all_frames.end());
+    result.object_recall = recall.recall();
+    return result;
   }
 
   // ---- members -----------------------------------------------------------
@@ -1181,12 +1228,14 @@ struct Pipeline::Impl {
 
   // Frame-scope working memory, reused tick over tick (DESIGN.md §11): the
   // current multi-frame, the stats record run_frame_ref hands out, the
-  // per-camera reported boxes fed to the recall metric, and the per-camera
-  // regular-frame results reduced into stats.
+  // per-camera reported boxes fed to the recall metric, the per-camera
+  // regular-frame results reduced into stats, and the per-camera detections
+  // of the last full inspection.
   sim::MultiFrame mf_;
   FrameStats stats_;
   std::vector<std::vector<geom::BBox>> reported_;
   std::vector<CamFrameResult> results_;
+  std::vector<std::vector<detect::Detection>> key_dets_;
 
   /// ReXCam-style correlation gate; null unless
   /// PolicyConfig::correlation_gate (the bit-identical default).
@@ -1260,38 +1309,13 @@ const FrameStats& Pipeline::Impl::run_frame() {
   refresh_active(f, mf.frame_index,
                  stats.key_frame || cfg.policy == Policy::kFull);
   for (char a : active) stats.cameras_online += (a != 0);
-
-  // Correlation gate (sequential, before the parallel section): a camera is
-  // hot when it is an entry point, has live tracks, is reachable from a
-  // camera that does, or is inside its cooldown hold. Cold cameras skip
-  // detection entirely this frame.
-  if (corr_gate) {
-    for (std::size_t i = 0; i < cameras.size(); ++i) {
-      const CameraNode& cam = cameras[i];
-      gate_activity_[i] =
-          active[i] ? static_cast<int>(cam.tracker.tracks().size() +
-                                       cam.ghosts.size() + cam.lost.size())
-                    : 0;
-    }
-    corr_gate->refresh(gate_activity_);
-    int cold = 0;
-    for (std::size_t i = 0; i < cameras.size(); ++i) {
-      gate_cold_[i] =
-          (active[i] && !corr_gate->hot(static_cast<int>(i))) ? 1 : 0;
-      cold += gate_cold_[i];
-    }
-    if (obs::enabled() && !cameras.empty())
-      obs::metrics()
-          .histogram("policy.gate_cold_frac")
-          .record(static_cast<double>(cold) /
-                  static_cast<double>(cameras.size()));
-  }
+  if (corr_gate) refresh_gate();
 
   std::vector<std::vector<geom::BBox>>& reported = reported_;
   reported.resize(cameras.size());
   for (std::vector<geom::BBox>& r : reported) r.clear();
   if (cfg.policy == Policy::kFull) {
-    full_frame_step(mf, stats, reported);
+    inspect_stage(mf, f, /*uplink=*/false, stats, reported);
   } else if (stats.key_frame) {
     key_frame_step(mf, f, stats, reported);
   } else {
@@ -1342,7 +1366,6 @@ const FrameStats& Pipeline::Impl::run_frame() {
     m.histogram("pipeline.recall").record(stats.frame_recall);
     m.histogram("pipeline.cameras_online").record(stats.cameras_online);
   }
-
   if (cfg.keep_history) all_frames.push_back(stats);
   if (cfg.verbose && f % 50 == 0)
     util::log_info("frame ", f, " recall=", stats.frame_recall,
@@ -1390,26 +1413,14 @@ const sim::Scenario& Pipeline::scenario() const {
   return impl_->player.scenario();
 }
 
-PipelineResult Pipeline::result() const {
-  PipelineResult result;
-  result.scenario = impl_->scenario_name_;
-  result.policy = config_.policy;
-  result.frames = impl_->all_frames;
-  result.object_recall = impl_->recall.recall();
-  return result;
-}
+PipelineResult Pipeline::result() const { return impl_->snapshot(0); }
+
+double Pipeline::object_recall() const { return impl_->recall.recall(); }
 
 PipelineResult Pipeline::run(int frames) {
   const std::size_t start = impl_->all_frames.size();
   for (int f = 0; f < frames; ++f) impl_->run_frame();
-  PipelineResult result;
-  result.scenario = impl_->scenario_name_;
-  result.policy = config_.policy;
-  result.frames.assign(impl_->all_frames.begin() +
-                           static_cast<std::ptrdiff_t>(start),
-                       impl_->all_frames.end());
-  result.object_recall = impl_->recall.recall();
-  return result;
+  return impl_->snapshot(start);
 }
 
 namespace {

@@ -196,6 +196,10 @@ class Pipeline {
   /// the aggregate recall over them).
   PipelineResult result() const;
 
+  /// Aggregate object recall over every frame run so far; what result()
+  /// reports, without copying the frame history.
+  double object_recall() const;
+
   /// Per-camera simulated-GPU demand of the most recent frame (empty before
   /// the first frame). Valid until the next run_frame()/run() call.
   const std::vector<CameraGpuWork>& last_gpu_work() const;

@@ -154,14 +154,4 @@ void FlowTracker::predicted_boxes_into(
   for (const Track& t : tracks_) out.emplace_back(t.id, t.box);
 }
 
-std::vector<std::pair<long, geom::BBox>> FlowTracker::search_boxes(
-    double slack_px) const {
-  std::vector<std::pair<long, geom::BBox>> out;
-  out.reserve(tracks_.size());
-  for (const Track& t : tracks_)
-    out.emplace_back(t.id,
-                     t.box.expanded(slack_px * t.frames_since_correct));
-  return out;
-}
-
 }  // namespace mvs::track

@@ -112,14 +112,6 @@ class FlowTracker {
   void predicted_boxes_into(
       std::vector<std::pair<long, geom::BBox>>& out) const;
 
-  /// predicted_boxes() with each box grown by `slack_px` per frame since its
-  /// last detection correction: the coast-uncertainty search region. A box
-  /// uncorrected for k frames may be off by ~k x the per-frame coast error;
-  /// without the slack the inspection crop can part from the object entirely
-  /// and ROI detection ratchets into a miss it cannot recover from (the
-  /// detect-or-track policy layer uses this; fixed ROI slicing does not).
-  std::vector<std::pair<long, geom::BBox>> search_boxes(double slack_px) const;
-
   const geom::SizeClassSet& sizes() const { return sizes_; }
 
  private:

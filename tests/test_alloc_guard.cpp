@@ -125,28 +125,36 @@ class Armed {
 constexpr int kMaxTicks = 1000;
 
 TEST(AllocGuard, PipelineSteadyTicksAllocateNothing) {
-  runtime::PipelineConfig cfg;
-  cfg.threads = 4;
-  cfg.keep_history = false;  // serving mode: no per-frame history growth
-  runtime::Pipeline pipe("S2", cfg);
+  // The heuristic detect-or-track policy adds per-camera features, sparse
+  // slice selection and lost-track bookkeeping to every regular frame; all
+  // of it must run from reused scratch too.
+  for (const policy::PolicyKind kind :
+       {policy::PolicyKind::kFixed, policy::PolicyKind::kHeuristic}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    runtime::PipelineConfig cfg;
+    cfg.threads = 4;
+    cfg.keep_history = false;  // serving mode: no per-frame history growth
+    cfg.frame_policy.kind = kind;
+    runtime::Pipeline pipe("S2", cfg);
 
-  constexpr int kRequiredStreak = 15;  // > one full key-frame horizon
-  int streak = 0;
-  int ticks = 0;
-  for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
-    g_allocs.store(0, std::memory_order_relaxed);
-    g_armed.store(true, std::memory_order_relaxed);
-    const runtime::FrameStats& stats = pipe.run_frame_ref();
-    g_armed.store(false, std::memory_order_relaxed);
-    if (stats.key_frame) continue;  // key frames are exempt by design
-    if (g_allocs.load(std::memory_order_relaxed) == 0)
-      ++streak;
-    else
-      streak = 0;
+    constexpr int kRequiredStreak = 15;  // > one full key-frame horizon
+    int streak = 0;
+    int ticks = 0;
+    for (; ticks < kMaxTicks && streak < kRequiredStreak; ++ticks) {
+      g_allocs.store(0, std::memory_order_relaxed);
+      g_armed.store(true, std::memory_order_relaxed);
+      const runtime::FrameStats& stats = pipe.run_frame_ref();
+      g_armed.store(false, std::memory_order_relaxed);
+      if (stats.key_frame) continue;  // key frames are exempt by design
+      if (g_allocs.load(std::memory_order_relaxed) == 0)
+        ++streak;
+      else
+        streak = 0;
+    }
+    EXPECT_EQ(streak, kRequiredStreak)
+        << "pipeline never reached a zero-allocation steady state in "
+        << ticks << " ticks";
   }
-  EXPECT_EQ(streak, kRequiredStreak)
-      << "pipeline never reached a zero-allocation steady state in "
-      << ticks << " ticks";
 }
 
 TEST(AllocGuard, FleetSteadyTicksAllocateNothing) {
@@ -243,6 +251,27 @@ TEST(AllocGuard, PacedRuntimeSteadyTicksAllocateNothing) {
   EXPECT_EQ(streak, kRequiredStreak)
       << "paced runtime never reached a zero-allocation steady state in "
       << ticks << " ticks";
+}
+
+// RtRunner::result() is a snapshot of running totals: it reads the
+// pipeline's aggregate recall instead of copying the frame history, so
+// polling it mid-run allocates nothing even with the default keep_history.
+TEST(AllocGuard, RtResultSnapshotAllocatesNothing) {
+  runtime::PipelineConfig cfg;
+  cfg.threads = 4;
+  runtime::RtConfig rtc;
+  rtc.paced = true;
+  rt::RtRunner runner("S2", cfg, rtc);
+  for (int i = 0; i < 200; ++i) runner.step();
+
+  long allocs = 0;
+  {
+    Armed armed;
+    const rt::RtResult r = runner.result();
+    allocs = armed.count();
+    EXPECT_GE(r.object_recall, 0.0);
+  }
+  EXPECT_EQ(allocs, 0);
 }
 
 // Attribution on (critical-path record + flight-recorder append + burn-rate

@@ -251,6 +251,42 @@ TEST(PipelineBehaviour, ObsDeterministicAcrossThreadCounts) {
     EXPECT_GT(spans_one.count(name), 0u) << name;
 }
 
+TEST(PipelineBehaviour, StageSpansCountTheWorkServed) {
+  // Each stage opens one span per unit of work it serves (DESIGN.md §9
+  // stage table), so span counts are a per-layer work ledger: per online
+  // camera-frame for render, per inspected camera on key frames, once per
+  // key frame for the central stages, and per detecting camera on regular
+  // frames (the fixed policy detects on every regular frame).
+  obs::reset();
+  obs::set_enabled(true);
+  Pipeline pipeline("S2", fast_config(Policy::kBalb, 21));
+  const PipelineResult result = pipeline.run(30);
+  obs::set_enabled(false);
+  const std::map<std::string, long long> spans = obs::tracer().span_counts();
+  obs::reset();
+
+  long long key = 0, regular = 0, camera_frames = 0, inspected = 0;
+  for (const FrameStats& f : result.frames) {
+    (f.key_frame ? key : regular) += 1;
+    camera_frames += f.cameras_online;
+    if (f.key_frame) inspected += f.cameras_online;
+  }
+  ASSERT_EQ(key, 3);
+  ASSERT_EQ(camera_frames, 60);  // S2: both cameras online throughout
+  const auto count = [&](const char* name) {
+    const auto it = spans.find(name);
+    return it == spans.end() ? 0LL : it->second;
+  };
+  EXPECT_EQ(count("pipeline.render"), camera_frames);
+  EXPECT_EQ(count("pipeline.inspect"), inspected);
+  for (const char* name : {"pipeline.associate", "pipeline.central",
+                           "pipeline.exchange", "pipeline.adopt"})
+    EXPECT_EQ(count(name), key) << name;
+  for (const char* name : {"pipeline.flow", "pipeline.tracking", "gpu.batch",
+                           "pipeline.detect", "pipeline.distributed"})
+    EXPECT_EQ(count(name), 2 * regular) << name;
+}
+
 TEST(PipelineBehaviour, FramePolicyKindsDeterministicAcrossThreadCounts) {
   // Every detect-or-track policy kind must be bit-identical at threads=1
   // and threads=8: decide() only touches per-camera state, so the parallel
