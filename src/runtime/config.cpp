@@ -75,12 +75,18 @@ struct Range {
     return (lo_open ? v > lo : v >= lo) && (hi_open ? v < hi : v <= hi);
   }
   std::string str() const {
-    const auto end = [](double x) {
-      return std::isinf(x) ? std::string(x < 0 ? "-inf" : "inf")
-                           : Json(x).dump();
+    std::string out(lo_open || std::isinf(lo) ? "(" : "[");
+    const auto end = [&out](double x) {
+      if (std::isinf(x))
+        out += x < 0 ? "-inf" : "inf";
+      else
+        out += Json(x).dump();
     };
-    return (lo_open || std::isinf(lo) ? "(" : "[") + end(lo) + ", " +
-           end(hi) + (hi_open || std::isinf(hi) ? ")" : "]");
+    end(lo);
+    out += ", ";
+    end(hi);
+    out += hi_open || std::isinf(hi) ? ")" : "]";
+    return out;
   }
 };
 

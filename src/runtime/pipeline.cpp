@@ -408,6 +408,17 @@ struct Pipeline::Impl {
                   static_cast<double>(cameras.size()));
   }
 
+  /// Run fn(i) for every online camera i across the pool; a dropped-out
+  /// device runs nothing. Cameras are independent (own renderer, flow
+  /// scratch, tracker, RNG) and share only the const frame, so this mirrors
+  /// the real deployment where each smart camera is a separate device.
+  template <typename Fn>
+  void for_each_online_camera(Fn&& fn) {
+    pool.parallel_for_each(cameras.size(), [&](std::size_t i) {
+      if (active[i]) fn(i);
+    });
+  }
+
   // ---- stages (DESIGN.md §9 stage table) --------------------------------
 
   /// Stage `pipeline.render` (per online camera): render the ground truth
@@ -434,7 +445,9 @@ struct Pipeline::Impl {
   /// inspection into key_dets_ (key frames, and every frame under Full),
   /// plus the uplink of each list to the central stage when `uplink`.
   /// Offline and gated-cold cameras contribute nothing; a cold camera still
-  /// renders, so flow has a reference when it heats up.
+  /// renders, so flow has a reference when it heats up. Serial on purpose:
+  /// it costs ~2 us per camera and feeds the shared transport and
+  /// camera_infer_ms in camera order.
   void inspect_stage(const sim::MultiFrame& mf, long eval_frame, bool uplink,
                      FrameStats& stats,
                      std::vector<std::vector<geom::BBox>>& reported) {
@@ -468,6 +481,8 @@ struct Pipeline::Impl {
     std::vector<char> received;
   };
 
+  /// A key frame: serial inspection and uplinks, the central stages, serial
+  /// adoption, then the per-camera render and flow rebase on the pool.
   void key_frame_step(const sim::MultiFrame& mf, long eval_frame,
                       FrameStats& stats,
                       std::vector<std::vector<geom::BBox>>& reported) {
@@ -497,9 +512,11 @@ struct Pipeline::Impl {
       adopt_stage(&plan);
     }
 
-    for (CameraNode& cam : cameras)
-      if (active[static_cast<std::size_t>(cam.index)])
-        render_stage(cam, mf, /*rebase=*/true);
+    // The costliest key-frame stage: per camera on the pool, as on a
+    // regular frame.
+    for_each_online_camera([&](std::size_t i) {
+      render_stage(cameras[i], mf, /*rebase=*/true);
+    });
   }
 
   /// Stage `pipeline.associate` (central): cross-camera association of the
@@ -615,7 +632,8 @@ struct Pipeline::Impl {
   /// detected itself. With one, it tracks its assigned slice and keeps the
   /// covered-but-unassigned objects as ghosts (BALB). A camera that never
   /// received the plan keeps its previous tracks and ghosts for another
-  /// horizon instead of resetting to an empty (and wrong) slice.
+  /// horizon instead of resetting to an empty (and wrong) slice. Serial:
+  /// it costs ~15 us in total, less than a pool dispatch buys back.
   void adopt_stage(const HorizonPlan* plan) {
     StageScope stage("pipeline.adopt");
     // Each object's tracking camera, looked up by the ghosts that shadow it.
@@ -681,13 +699,8 @@ struct Pipeline::Impl {
                           std::vector<std::vector<geom::BBox>>& reported) {
     std::vector<CamFrameResult>& results = results_;
     results.assign(cameras.size(), CamFrameResult{});
-    // Cameras are independent (own tracker/RNG/frames); run them in
-    // parallel, mirroring the real deployment where each smart camera is a
-    // separate device.
-    pool.parallel_for_each(cameras.size(), [&](std::size_t cam_index) {
-      if (!active[cam_index]) return;  // dropped-out device: nothing runs
-      regular_camera_step(cameras[cam_index], mf, reported[cam_index],
-                          results[cam_index]);
+    for_each_online_camera([&](std::size_t i) {
+      regular_camera_step(cameras[i], mf, reported[i], results[i]);
     });
     int decided = 0, detects = 0;
     for (const CamFrameResult& r : results) {

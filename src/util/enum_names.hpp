@@ -48,7 +48,8 @@ inline std::string enum_choices(std::span<const EnumName> names) {
   std::string out;
   for (const EnumName& n : names) {
     if (enum_name(names, n.value) != n.name) continue;
-    out += (out.empty() ? "" : "|") + std::string(n.name);
+    if (!out.empty()) out += '|';
+    out += n.name;
   }
   return out;
 }

@@ -48,6 +48,21 @@ class Pool {
     return new T(std::forward<Args>(args)...);
   }
 
+  /// Pop a recycled object, or nullptr when none is parked (never allocates).
+  T* try_acquire() noexcept {
+    T* obj = nullptr;
+    return free_.try_pop(obj) ? obj : nullptr;
+  }
+
+  /// Allocate and park `count` objects up front (construction time), so a
+  /// hot path that uses try_acquire() never reaches `new` at all.
+  void prefill(std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      total_allocated_.fetch_add(1, std::memory_order_relaxed);
+      release(new T());
+    }
+  }
+
   /// Park an object for reuse; deletes it if the free list is full.
   void release(T* obj) noexcept {
     if (obj == nullptr) return;

@@ -5,14 +5,6 @@
 
 namespace mvs::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0)
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   // Cold path by contract (see header): box the callable once.
   auto* holder = new std::function<void()>(std::move(task));
@@ -86,7 +78,20 @@ struct ThreadPool::TileGroup {
   }
 };
 
-// Defined after TileGroup so Pool<TileGroup>'s `delete` sees a complete type.
+// Defined after TileGroup so Pool<TileGroup>'s `new`/`delete` see a
+// complete type.
+ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads == 0)
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  // Every tile group this pool will ever use, parked before the first
+  // dispatch: run_tiles() only recycles them, so warm dispatch never
+  // allocates however late the helpers of earlier calls run.
+  tile_groups_.prefill(kTileGroups);
+  workers_.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t)
+    workers_.emplace_back([this] { worker_loop(); });
+}
+
 ThreadPool::~ThreadPool() {
   // Release: pairs with the workers' acquire loads of stopping_; everything
   // pushed before this point is drained before any worker exits.
@@ -112,7 +117,22 @@ void ThreadPool::run_tiles_erased(std::size_t n,
                                   void (*invoke)(void*, std::size_t),
                                   void* fn) {
   if (n == 0) return;
-  TileGroup* group = tile_groups_.acquire();
+  TileGroup* group = tile_groups_.try_acquire();
+  if (group == nullptr) {
+    // Late helpers of earlier calls still hold every parked group, so the
+    // workers are that far behind: run the tiles inline. This sheds
+    // parallelism, never work, and keeps dispatch allocation-free.
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        invoke(fn, i);
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    if (error) std::rethrow_exception(error);
+    return;
+  }
   // Relaxed init: the ring push below release-publishes the whole group to
   // helpers (their pop acquire-loads the cell), and the caller reads its own
   // writes; no other thread can hold this group (refs reached 0).

@@ -25,10 +25,11 @@
 // eventcount (sleeper counter + wake epoch + C++20 atomic wait as the futex
 // slow path), so dispatching work never takes a mutex. run_tiles() and
 // parallel_for_each() are templates over the callable — no std::function
-// temporaries — and their per-call completion groups are recycled through a
-// util::Pool guarded by a reference count, so a steady-state tick performs
-// zero heap allocations. The only mutexes left are cold paths: exception
-// capture, and the heap-boxed std::function behind submit().
+// temporaries — and their per-call completion groups are parked in a
+// util::Pool at construction and recycled under a reference count, so
+// dispatch performs zero heap allocations. The only mutexes left are cold
+// paths: exception capture, and the heap-boxed std::function behind
+// submit().
 
 #include <atomic>
 #include <cstddef>
@@ -123,9 +124,13 @@ class ThreadPool {
   void release_group(TileGroup* group);
   void worker_loop();
 
+  /// Tile groups parked at construction; a dispatch that finds none free
+  /// runs its tiles inline instead of allocating.
+  static constexpr std::size_t kTileGroups = 256;
+
   std::vector<std::thread> workers_;
   MpmcQueue<Task> queue_{1024};
-  Pool<TileGroup> tile_groups_{256};
+  Pool<TileGroup> tile_groups_{kTileGroups};
 
   // ---- eventcount (sleep/wake slow path; see DESIGN.md §11) ----
   // Workers announce themselves in sleepers_ before re-polling the ring;

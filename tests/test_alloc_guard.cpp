@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,6 +31,7 @@
 #include "runtime/pipeline.hpp"
 #include "runtime/trace.hpp"
 #include "util/alloc_track.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -192,10 +194,9 @@ TEST(AllocGuard, FleetSteadyTicksAllocateNothing) {
 // Memory bounded in run length (DESIGN.md §8): once warm, a serving plane's
 // live heap does not grow with the ticks it serves — per-session and
 // per-tick rollups are fixed-size accumulators, not kept sample lists. The
-// slack absorbs bounded high-water growth of reusable scratch: the thread
-// pool parks up to 256 recycled tile groups (~26 KiB), and how many it
-// needs depends on how late its helpers run. Keeping three doubles per
-// session-tick would add ~7.7 MB here.
+// slack absorbs bounded high-water growth of reusable scratch (the thread
+// pool's tile groups are all parked at construction, so they never grow).
+// Keeping three doubles per session-tick would add ~7.7 MB here.
 TEST(AllocGuard, FleetLiveBytesDoNotGrowWithRunLength) {
   fleet::FleetConfig fc;
   fc.threads = 4;
@@ -216,6 +217,51 @@ TEST(AllocGuard, FleetLiveBytesDoNotGrowWithRunLength) {
   EXPECT_LE(grown, kSlackBytes)
       << "live heap grew by " << grown << " B over 20000 warm ticks";
   EXPECT_EQ(fl.snapshot().sessions.at(0).frames, 21000);
+}
+
+// The pool's own dispatch: every tile group is parked at construction, so
+// a warm multi-thread pool allocates nothing, neither in steady dispatch
+// nor while the queued helpers of earlier calls (each holding its group
+// until a worker dequeues it) lag arbitrarily far behind.
+TEST(AllocGuard, WarmPoolDispatchAllocatesNothing) {
+  util::ThreadPool pool(4);
+  std::vector<long> hits(8, 0);
+  const auto tick = [&hits](std::size_t i) { ++hits[i]; };
+  pool.parallel_for_each(hits.size(), tick);  // warm: every worker running
+
+  constexpr int kCalls = 10000;
+  {
+    Armed armed;
+    for (int k = 0; k < kCalls; ++k) {
+      pool.parallel_for_each(hits.size(), tick);
+      pool.run_tiles(3, tick);
+    }
+    EXPECT_EQ(armed.count(), 0) << "warm dispatch allocated";
+  }
+
+  // Park every worker (submit() boxes its callable: outside the window),
+  // then dispatch until queued helpers hold more groups than are parked.
+  std::atomic<int> parked{0};
+  std::atomic<bool> gate{false};
+  for (std::size_t w = 0; w < pool.thread_count(); ++w)
+    pool.submit([&] {
+      parked.fetch_add(1, std::memory_order_acq_rel);
+      while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+    });
+  while (parked.load(std::memory_order_acquire) <
+         static_cast<int>(pool.thread_count()))
+    std::this_thread::yield();
+  constexpr int kLagged = 300;  // > the 256 parked groups
+  {
+    Armed armed;
+    for (int k = 0; k < kLagged; ++k) pool.run_tiles(hits.size(), tick);
+    EXPECT_EQ(armed.count(), 0) << "dispatch behind lagging helpers allocated";
+  }
+  gate.store(true, std::memory_order_release);
+  pool.wait_idle();
+
+  EXPECT_EQ(hits[0], 1 + 2 * kCalls + kLagged);
+  EXPECT_EQ(hits[7], 1 + kCalls + kLagged);
 }
 
 // The paced runtime inherits the invariant: once the arrival queue and the

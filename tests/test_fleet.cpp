@@ -1090,10 +1090,11 @@ TEST(FleetScale, ThousandSyntheticSessionsAdmitAndServe) {
   FleetConfig cfg;
   cfg.threads = 4;
   Fleet fleet(cfg);
-  for (int i = 0; i < 1000; ++i)
-    ASSERT_TRUE(
-        fleet.admit(synthetic_spec("s" + std::to_string(i), 1000 + i))
-            .admitted);
+  for (int i = 0; i < 1000; ++i) {
+    std::string name = "s";
+    name += std::to_string(i);
+    ASSERT_TRUE(fleet.admit(synthetic_spec(name, 1000 + i)).admitted);
+  }
   EXPECT_EQ(fleet.session_count(), 1000u);
   fleet.run(3);
 
@@ -1163,10 +1164,11 @@ TEST(FleetDeterminism, ObsDeterministicAcrossThreadCounts) {
     FleetConfig cfg;
     cfg.threads = threads;
     Fleet fleet(cfg);
-    for (int i = 0; i < 8; ++i)
-      EXPECT_TRUE(
-          fleet.admit(synthetic_spec("s" + std::to_string(i), 800 + i))
-              .admitted);
+    for (int i = 0; i < 8; ++i) {
+      std::string name = "s";
+      name += std::to_string(i);
+      EXPECT_TRUE(fleet.admit(synthetic_spec(name, 800 + i)).admitted);
+    }
     fleet.run(12);
     Observed o;
     o.metrics = obs::metrics().fingerprint();

@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "assoc/association.hpp"
 #include "fleet/fleet.hpp"
@@ -316,6 +317,63 @@ TEST(PipelineBehaviour, FramePolicyKindsDeterministicAcrossThreadCounts) {
     const PipelineResult ra = a.run(30);
     const PipelineResult rb = b.run(30);
     expect_deterministic_stats_equal(ra, rb);
+  }
+}
+
+TEST(PipelineBehaviour, GatedCityWithOutageDeterministicAcrossThreadCounts) {
+  // Key frames render and rebase flow per camera on the pool, skipping
+  // offline cameras and still rendering gated-cold ones. A gated 9-camera
+  // city under BALB with one camera offline across two key frames must give
+  // identical FrameStats and trace events at threads 1, 4 and 8, and at 8
+  // without flow tiling.
+  sim::CityConfig cc;
+  cc.cameras = 9;
+  PipelineConfig base = fast_config(Policy::kBalb, 13);
+  base.training_frames = 60;
+  base.frame_policy.correlation_gate = true;
+  base.frame_policy.gate_hold = 4;  // the warm-start hold expires early
+  base.transport = net::TransportKind::kLossy;
+  base.faults.dropouts.push_back({4, 8, 23});  // offline on key frames 10, 20
+  base.threads = 1;
+
+  const auto run = [&](int threads, bool tile_flow, TraceRecorder& trace) {
+    PipelineConfig cfg = base;
+    cfg.threads = threads;
+    cfg.tile_flow = tile_flow;
+    Pipeline pipeline(sim::city_scenario_name(cc), cfg);
+    pipeline.attach_trace(&trace);
+    return pipeline.run(40);
+  };
+  TraceRecorder trace_one, trace_four, trace_eight, trace_untiled;
+  const PipelineResult one = run(1, true, trace_one);
+  const PipelineResult four = run(4, true, trace_four);
+  const PipelineResult eight = run(8, true, trace_eight);
+  const PipelineResult untiled = run(8, false, trace_untiled);
+
+  // The run covers what the parallel key-frame render has to skip.
+  int outage_key_frames = 0, cold_key_cameras = 0;
+  for (const FrameStats& f : one.frames) {
+    if (!f.key_frame) continue;
+    outage_key_frames += f.cameras_online < cc.cameras;
+    for (double v : f.camera_infer_ms) cold_key_cameras += v == 0.0;
+  }
+  EXPECT_EQ(outage_key_frames, 2);
+  EXPECT_GT(cold_key_cameras, outage_key_frames) << "no gated-cold camera";
+
+  const auto events_one = sorted_events(trace_one);
+  for (const auto& [result, trace] :
+       {std::pair{&four, &trace_four}, std::pair{&eight, &trace_eight},
+        std::pair{&untiled, &trace_untiled}}) {
+    expect_deterministic_stats_equal(one, *result);
+    const auto events = sorted_events(*trace);
+    ASSERT_EQ(events_one.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events_one[i].frame, events[i].frame);
+      EXPECT_EQ(events_one[i].camera, events[i].camera);
+      EXPECT_EQ(events_one[i].type, events[i].type);
+      EXPECT_EQ(events_one[i].object_key, events[i].object_key);
+      EXPECT_DOUBLE_EQ(events_one[i].value, events[i].value);
+    }
   }
 }
 

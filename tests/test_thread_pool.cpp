@@ -214,6 +214,36 @@ TEST(ThreadPool, RunTilesPropagatesException) {
   pool.wait_idle();           // tile errors never leak into the pool state
 }
 
+TEST(ThreadPool, RunTilesRunsInlineWhenEveryTileGroupIsHeld) {
+  // The only worker is parked, so every call's queued helper keeps its tile
+  // group. Once all parked groups are held (256), later calls run their
+  // tiles inline on the caller: every tile still runs exactly once and a
+  // throwing tile still surfaces after its siblings ran.
+  ThreadPool pool(1);
+  std::atomic<bool> started{false}, gate{false};
+  pool.submit([&] {
+    started.store(true, std::memory_order_release);
+    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+
+  std::vector<int> hits(4, 0);
+  for (int k = 0; k < 300; ++k)
+    pool.run_tiles(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+  int ran = 0;
+  EXPECT_THROW(pool.run_tiles(3,
+                              [&ran](std::size_t i) {
+                                ++ran;
+                                if (i == 1) throw std::runtime_error("tile 1");
+                              }),
+               std::runtime_error);
+  EXPECT_EQ(ran, 3);
+
+  gate.store(true, std::memory_order_release);
+  pool.wait_idle();
+  for (int h : hits) EXPECT_EQ(h, 300);
+}
+
 // ------------------------------------------------- contention stress tests --
 // These hammer the bounded MPMC ring well past its capacity (1024 slots)
 // from more producers than consumers, so the full-queue backpressure path
