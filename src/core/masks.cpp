@@ -20,14 +20,6 @@ bool CameraMasks::owns(int cam, geom::Vec2 point) const {
   return owner_[static_cast<std::size_t>(cam)][flat] != 0;
 }
 
-double CameraMasks::owned_fraction(int cam) const {
-  const auto& cells = owner_[static_cast<std::size_t>(cam)];
-  if (cells.empty()) return 0.0;
-  std::size_t owned = 0;
-  for (char c : cells) owned += static_cast<std::size_t>(c);
-  return static_cast<double>(owned) / static_cast<double>(cells.size());
-}
-
 namespace {
 
 template <typename OwnerRule>

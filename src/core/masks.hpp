@@ -43,8 +43,6 @@ class CameraMasks {
   const geom::Grid& grid(int cam) const {
     return grids_[static_cast<std::size_t>(cam)];
   }
-  /// Fraction of camera `cam`'s cells it owns (diagnostics / tests).
-  double owned_fraction(int cam) const;
 
   std::size_t camera_count() const { return grids_.size(); }
 

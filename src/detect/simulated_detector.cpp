@@ -60,14 +60,6 @@ std::vector<Detection> SimulatedDetector::detect_full(
   return out;
 }
 
-std::vector<Detection> SimulatedDetector::detect_roi(
-    const std::vector<GroundTruthObject>& visible, const geom::BBox& roi,
-    int input_side, util::Rng& rng) const {
-  std::vector<Detection> out;
-  detect_roi_append(visible, roi, input_side, rng, out);
-  return out;
-}
-
 void SimulatedDetector::detect_roi_append(
     const std::vector<GroundTruthObject>& visible, const geom::BBox& roi,
     int input_side, util::Rng& rng, std::vector<Detection>& out) const {

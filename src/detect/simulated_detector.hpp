@@ -40,14 +40,9 @@ class SimulatedDetector {
   /// Partial-frame inspection inside `roi`, which is executed at the square
   /// input resolution of `size_class` side `input_side` (so a larger ROI is
   /// downsampled). Candidates are visible objects sufficiently covered by
-  /// the ROI.
-  std::vector<Detection> detect_roi(
-      const std::vector<GroundTruthObject>& visible, const geom::BBox& roi,
-      int input_side, util::Rng& rng) const;
-
-  /// detect_roi APPENDING to `out` (not cleared): callers accumulating
-  /// detections over many slices reuse one buffer instead of splicing a
-  /// fresh vector per slice. Identical detections and RNG draw order.
+  /// the ROI. Detections are APPENDED to `out` (not cleared): callers
+  /// accumulating detections over many slices reuse one buffer instead of
+  /// splicing a fresh vector per slice.
   void detect_roi_append(const std::vector<GroundTruthObject>& visible,
                          const geom::BBox& roi, int input_side, util::Rng& rng,
                          std::vector<Detection>& out) const;

@@ -83,7 +83,7 @@ namespace {
 /// the schedule is rolled up per size class (Σ cost, last end) and members
 /// are charged in one members x classes pass: linear in members. A lone
 /// member is charged the plan-order running sum instead, which is how
-/// gpu::plan_batch_counts accumulates — with one device (and any
+/// gpu::plan_batch_counts_into accumulates — with one device (and any
 /// overhead) each batch issues when the previous one ends, so attributed ==
 /// serial == finish bit-for-bit: the fleet-of-one identity.
 ///
@@ -158,12 +158,6 @@ void run_class(const std::vector<Submission>& subs,
 }
 
 }  // namespace
-
-TickPlan GpuArbiter::plan_tick(const TickContext& ctx) const {
-  TickPlan plan;
-  plan_tick_into(ctx, plan);
-  return plan;
-}
 
 void GpuArbiter::plan_tick_into(const TickContext& ctx, TickPlan& plan) const {
   if (!scratch_) scratch_ = std::make_unique<PlanScratch>();

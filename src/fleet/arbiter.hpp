@@ -6,7 +6,7 @@
 // submits its cameras' partial-frame inspection tasks; the arbiter merges
 // the task multisets per (device class, size class) and plans batches over
 // the MERGED counts with the same greedy filling the paper uses per camera
-// (gpu::plan_batch_counts). Because batch latency t_i^s is flat in fill
+// (gpu::plan_batch_counts_into). Because batch latency t_i^s is flat in fill
 // before the inflection point, topping a session's incomplete batch up with
 // another session's same-size tasks costs nothing extra — so each session's
 // own BALB latency estimate stays correct while the fleet executes strictly
@@ -148,23 +148,21 @@ class GpuArbiter {
   /// task buffers) are retained for reuse.
   void begin_tick();
 
-  /// Register one camera's demand. `device` must outlive plan_tick();
+  /// Register one camera's demand. `device` must outlive plan_tick_into();
   /// profiles sharing a name are assumed identical (they come from the
   /// gpu:: factory functions). `weight` is the owning session's dispatch
   /// weight; batch splits defer the lowest weights first.
   void submit(int session, int camera, const gpu::DeviceProfile& device,
               const runtime::CameraGpuWork& work, double weight = 1.0);
 
-  /// Merge, plan, schedule onto the device pools, and attribute.
+  /// Merge, plan, schedule onto the device pools, and attribute, into a
+  /// caller-owned plan (fields reset in place).
   /// Deterministic: grouping is by device name (lexicographic), attribution
   /// follows size-class order, list scheduling follows plan order onto the
   /// earliest-free device, and submission order is preserved in `shares`.
-  TickPlan plan_tick(const TickContext& ctx = {}) const;
-
-  /// plan_tick into a caller-owned plan (fields reset in place): identical
-  /// results, but warm steady-state ticks reuse every buffer — the fleet
-  /// hot path. The cold batch-split branch may still allocate (it copies
-  /// the class counts to re-plan); it only runs under SLO pressure.
+  /// Warm steady-state ticks reuse every buffer — the fleet hot path. The
+  /// cold batch-split branch may still allocate (it copies the class counts
+  /// to re-plan); it only runs under SLO pressure.
   void plan_tick_into(const TickContext& ctx, TickPlan& plan) const;
 
   /// Devices serving `device_class` (>= 1; classes default to one device).
@@ -184,7 +182,7 @@ class GpuArbiter {
   std::vector<Submission> subs_;
   std::size_t active_ = 0;
   std::map<std::string, int> device_counts_;
-  /// Lazily built planning scratch; mutable because plan_tick is logically
+  /// Lazily built planning scratch; mutable because plan_tick_into is logically
   /// const (the scratch carries no observable state between calls).
   mutable std::unique_ptr<PlanScratch> scratch_;
 };

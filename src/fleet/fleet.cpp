@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "obs/obs.hpp"
@@ -163,6 +164,15 @@ AdmitResult Fleet::admit(const SessionSpec& spec) {
     return result;
   }
   const int fps = spec.fps > 0 ? spec.fps : base_fps_;
+  // The wheel rate is an int: a rate whose lcm with the current wheel
+  // passes INT_MAX would silently truncate every later session's period.
+  if (std::lcm(static_cast<long long>(wheel_hz_), static_cast<long long>(fps)) >
+      std::numeric_limits<int>::max()) {
+    ++rejected_;
+    result.reason = "native fps would grow the tick wheel past INT_MAX";
+    record(runtime::TraceEventType::kSessionReject, -1, 0.0);
+    return result;
+  }
 
   const std::vector<gpu::DeviceProfile>& devices =
       probe_devices(spec.scenario, spec.pipeline.seed);
@@ -288,6 +298,8 @@ FleetStatus Fleet::evict(SessionHandle handle) {
   if (s->state == SessionState::kEvicted) return FleetStatus::kInvalidState;
   if (s->pipeline) {
     s->final_result = s->pipeline->result();
+    s->final_retries = s->pipeline->total_retries();
+    s->final_dropped_msgs = s->pipeline->total_dropped_msgs();
     s->pipeline.reset();
   }
   s->synth.reset();
@@ -489,7 +501,7 @@ void Fleet::step() {
   // deterministic for any worker count. The per-frame stats live inside
   // each pipeline (run_frame_ref) — nothing is copied out here. Synthetic
   // sessions generate their seeded work instead of running the stack.
-  pool_->run_tiles(chosen.size(), [&](std::size_t i) {
+  pool_->parallel_for_each(chosen.size(), [&](std::size_t i) {
     MVS_SPAN("fleet.session");
     if (chosen[i]->pipeline)
       chosen[i]->pipeline->run_frame_ref();
@@ -727,13 +739,15 @@ FleetSnapshot Fleet::snapshot() const {
     ss.slow_burn = s->burn.slow_burn();
     if (ss.alerting && s->state != SessionState::kEvicted)
       ++snap.alerting_sessions;
-    if (s->pipeline || s->final_result.frames.size() ||
-        s->state == SessionState::kEvicted) {
-      const runtime::PipelineResult result =
-          s->pipeline ? s->pipeline->result() : s->final_result;
-      ss.object_recall = result.object_recall;
-      ss.retries = result.total_retries();
-      ss.dropped_msgs = result.total_dropped_msgs();
+    // Run totals, not the frame history: nothing here copies frames.
+    if (s->pipeline) {
+      ss.object_recall = s->pipeline->object_recall();
+      ss.retries = s->pipeline->total_retries();
+      ss.dropped_msgs = s->pipeline->total_dropped_msgs();
+    } else if (s->state == SessionState::kEvicted) {
+      ss.object_recall = s->final_result.object_recall;
+      ss.retries = s->final_retries;
+      ss.dropped_msgs = s->final_dropped_msgs;
     }
     snap.total_retries += ss.retries;
     snap.total_dropped_msgs += ss.dropped_msgs;

@@ -102,8 +102,12 @@ struct SessionRecord {
   double isolated_sum_ms = 0.0;     ///< Σ dedicated-device counterfactual
   double queue_sum_ms = 0.0;        ///< Σ per-frame device-pool queueing
   double busy_sum_ms = 0.0;         ///< Σ attributed over all cameras/frames
-  /// Result snapshot frozen at eviction (the pipeline is destroyed then).
+  /// Result snapshot frozen at eviction (the pipeline is destroyed then),
+  /// with the transport totals, which its frame list lacks when the
+  /// pipeline keeps no history.
   runtime::PipelineResult final_result;
+  long final_retries = 0;
+  long final_dropped_msgs = 0;
 };
 
 class Fleet {
@@ -120,7 +124,8 @@ class Fleet {
   /// rejection nothing is constructed beyond the device-profile probe.
   /// spec.faults (when set) replaces the pipeline fault profile and, unless
   /// fault-free, selects the lossy transport. A native fps that does not
-  /// divide the current wheel grows it to the least common multiple.
+  /// divide the current wheel grows it to the least common multiple; a
+  /// rate that would grow the wheel past INT_MAX is rejected.
   AdmitResult admit(const SessionSpec& spec);
 
   /// Lifecycle transitions. Evictions are final (kInvalidState to evict

@@ -32,13 +32,4 @@ double coverage(const BBox& a, const BBox& b) {
   return intersect(a, b).area() / area;
 }
 
-double center_distance(const BBox& a, const BBox& b) {
-  return (a.center() - b.center()).norm();
-}
-
-std::ostream& operator<<(std::ostream& os, const BBox& b) {
-  return os << "BBox(" << b.x << ", " << b.y << ", " << b.w << ", " << b.h
-            << ")";
-}
-
 }  // namespace mvs::geom

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 namespace mvs::geom {
 
@@ -71,10 +70,5 @@ double iou(const BBox& a, const BBox& b);
 
 /// Intersection area divided by area of `a` ("how much of a is inside b").
 double coverage(const BBox& a, const BBox& b);
-
-/// Euclidean distance between box centers.
-double center_distance(const BBox& a, const BBox& b);
-
-std::ostream& operator<<(std::ostream& os, const BBox& b);
 
 }  // namespace mvs::geom

@@ -29,19 +29,4 @@ BBox Grid::cell_box(CellIndex c) const {
   return BBox::from_corners(x0, y0, x1, y1);
 }
 
-std::vector<CellIndex> Grid::cells_overlapping(const BBox& box) const {
-  std::vector<CellIndex> cells;
-  const BBox clipped = box.clamped(static_cast<double>(width_),
-                                   static_cast<double>(height_));
-  if (clipped.empty()) return cells;
-  const CellIndex lo = cell_at({clipped.x, clipped.y});
-  // Use a point just inside the far edge so boxes ending exactly on a cell
-  // boundary do not claim the next cell.
-  const CellIndex hi =
-      cell_at({clipped.x2() - 1e-9, clipped.y2() - 1e-9});
-  for (int r = lo.row; r <= hi.row; ++r)
-    for (int c = lo.col; c <= hi.col; ++c) cells.push_back({c, r});
-  return cells;
-}
-
 }  // namespace mvs::geom

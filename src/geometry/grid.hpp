@@ -45,9 +45,6 @@ class Grid {
   /// Pixel rectangle of a cell (clipped to the frame).
   BBox cell_box(CellIndex c) const;
 
-  /// All cells overlapping `box` (clipped to the frame).
-  std::vector<CellIndex> cells_overlapping(const BBox& box) const;
-
  private:
   int width_, height_, cell_;
   int cols_, rows_;

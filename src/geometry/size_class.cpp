@@ -7,11 +7,6 @@ namespace mvs::geom {
 
 SizeClassSet::SizeClassSet() : sizes_{64, 128, 256, 512} {}
 
-SizeClassSet::SizeClassSet(std::vector<int> sizes) : sizes_(std::move(sizes)) {
-  assert(!sizes_.empty());
-  std::sort(sizes_.begin(), sizes_.end());
-}
-
 SizeClassId SizeClassSet::quantize(const BBox& box, double margin) const {
   const double need = std::max(box.w, box.h) + 2.0 * margin;
   for (std::size_t i = 0; i < sizes_.size(); ++i) {

@@ -24,7 +24,6 @@ class SizeClassSet {
  public:
   /// Default paper set {64, 128, 256, 512} (square pixel regions).
   SizeClassSet();
-  explicit SizeClassSet(std::vector<int> sizes);
 
   std::size_t count() const { return sizes_.size(); }
   int size_of(SizeClassId id) const { return sizes_.at(static_cast<std::size_t>(id)); }

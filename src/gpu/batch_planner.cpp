@@ -23,13 +23,6 @@ BatchPlan plan_batches(const std::vector<geom::SizeClassId>& tasks,
   return plan;
 }
 
-BatchPlan plan_batch_counts(const std::vector<int>& counts,
-                            const DeviceProfile& device) {
-  BatchPlan plan;
-  plan_batch_counts_into(counts, device, plan);
-  return plan;
-}
-
 void plan_batch_counts_into(const std::vector<int>& counts,
                             const DeviceProfile& device, BatchPlan& plan) {
   assert(counts.size() == device.size_class_count());
@@ -48,25 +41,6 @@ void plan_batch_counts_into(const std::vector<int>& counts,
       remaining -= take;
     }
   }
-}
-
-std::vector<double> per_class_actual_ms(const BatchPlan& plan,
-                                        const DeviceProfile& device) {
-  std::vector<double> per_class(device.size_class_count(), 0.0);
-  for (const Batch& b : plan.batches)
-    per_class[static_cast<std::size_t>(b.size_class)] +=
-        device.actual_batch_latency_ms(b.size_class, b.count);
-  return per_class;
-}
-
-double marginal_latency_ms(const std::vector<int>& per_size_counts,
-                           geom::SizeClassId s, const DeviceProfile& device) {
-  assert(s >= 0 && static_cast<std::size_t>(s) < per_size_counts.size());
-  const int count = per_size_counts[static_cast<std::size_t>(s)];
-  const int limit = device.batch_limit(s);
-  // An incomplete batch exists iff count is not a multiple of the limit.
-  if (count % limit != 0) return 0.0;
-  return device.batch_latency_ms(s);
 }
 
 }  // namespace mvs::gpu

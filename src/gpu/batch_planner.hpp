@@ -38,29 +38,13 @@ void plan_batches_into(const std::vector<geom::SizeClassId>& tasks,
                        const DeviceProfile& device,
                        std::vector<int>& counts_scratch, BatchPlan& plan);
 
-/// plan_batch_counts with a caller-owned output plan (cleared first).
+/// Plan batches from per-size-class task COUNTS (counts.size() must equal
+/// device.size_class_count()) into a caller-owned plan (cleared first). This
+/// is the primitive behind plan_batches and the fleet arbiter's
+/// cross-session merge: task multisets from any number of sessions collapse
+/// to summed counts, and greedy filling over the merged counts yields the
+/// minimal shared batch schedule.
 void plan_batch_counts_into(const std::vector<int>& counts,
                             const DeviceProfile& device, BatchPlan& plan);
-
-/// Plan batches from per-size-class task COUNTS (counts.size() must equal
-/// device.size_class_count()). This is the primitive behind plan_batches and
-/// the fleet arbiter's cross-session merge: task multisets from any number
-/// of sessions collapse to summed counts, and greedy filling over the merged
-/// counts yields the minimal shared batch schedule.
-BatchPlan plan_batch_counts(const std::vector<int>& counts,
-                            const DeviceProfile& device);
-
-/// Batch plan latency per size class of `plan` (indexed by size class id,
-/// length device.size_class_count()): the actual (fill-model) latency of
-/// every batch of that class summed. Used for proportional per-session
-/// latency attribution of shared batches.
-std::vector<double> per_class_actual_ms(const BatchPlan& plan,
-                                        const DeviceProfile& device);
-
-/// Latency of adding one more task of size class `s` given `existing` counts
-/// per size class (the marginal cost used in BALB central stage): zero if an
-/// incomplete batch exists, else one more t_i^s.
-double marginal_latency_ms(const std::vector<int>& per_size_counts,
-                           geom::SizeClassId s, const DeviceProfile& device);
 
 }  // namespace mvs::gpu

@@ -1,7 +1,6 @@
 #include "linalg/matrix.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace mvs::linalg {
 
@@ -42,32 +41,6 @@ Matrix Matrix::operator*(const Matrix& rhs) const {
     }
   }
   return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  assert(rows_ == rhs.rows_ && cols_ == rhs.cols_);
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::scaled(double k) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= k;
-  return out;
-}
-
-double Matrix::norm() const {
-  double s = 0.0;
-  for (double v : data_) s += v * v;
-  return std::sqrt(s);
 }
 
 }  // namespace mvs::linalg

@@ -30,12 +30,6 @@ class Matrix {
 
   Matrix transposed() const;
   Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix scaled(double k) const;
-
-  /// Frobenius norm.
-  double norm() const;
 
   const std::vector<double>& data() const { return data_; }
 

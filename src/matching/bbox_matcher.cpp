@@ -33,12 +33,4 @@ void match_boxes_into(const std::vector<geom::BBox>& a,
     if (res.col_to_row[c] < 0) out.unmatched_b.push_back(static_cast<int>(c));
 }
 
-BoxMatchResult match_boxes(const std::vector<geom::BBox>& a,
-                           const std::vector<geom::BBox>& b, double min_iou) {
-  BoxMatchScratch scratch;
-  BoxMatchResult out;
-  match_boxes_into(a, b, min_iou, scratch, out);
-  return out;
-}
-
 }  // namespace mvs::matching

@@ -21,11 +21,6 @@ struct BoxMatchResult {
   std::vector<int> unmatched_b;
 };
 
-/// Optimal (max total IoU) matching; pairs with IoU < min_iou are forbidden.
-BoxMatchResult match_boxes(const std::vector<geom::BBox>& a,
-                           const std::vector<geom::BBox>& b,
-                           double min_iou = 0.1);
-
 /// Reusable working memory for match_boxes_into: the cost matrix, the raw
 /// assignment output, and the Hungarian solver's internals. One per caller
 /// makes repeated matching allocation-free once warm (DESIGN.md §11).
@@ -35,8 +30,9 @@ struct BoxMatchScratch {
   AssignScratch solver;
 };
 
-/// match_boxes with caller-owned scratch and output (allocation-free once
-/// warm; bit-identical results).
+/// Optimal (max total IoU) matching; pairs with IoU < min_iou are forbidden.
+/// Caller-owned scratch and output (cleared first): allocation-free once
+/// warm.
 void match_boxes_into(const std::vector<geom::BBox>& a,
                       const std::vector<geom::BBox>& b, double min_iou,
                       BoxMatchScratch& scratch, BoxMatchResult& out);

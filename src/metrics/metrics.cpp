@@ -72,10 +72,4 @@ double ObjectRecall::recall() const {
   return total ? static_cast<double>(tp_) / static_cast<double>(total) : 1.0;
 }
 
-void SlowestCameraLatency::add_frame(const std::vector<double>& per_camera_ms) {
-  double worst = 0.0;
-  for (double v : per_camera_ms) worst = std::max(worst, v);
-  stats_.add(worst);
-}
-
 }  // namespace mvs::metrics

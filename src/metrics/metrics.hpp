@@ -6,7 +6,6 @@
 
 #include "detect/detection.hpp"
 #include "geometry/bbox.hpp"
-#include "util/stats.hpp"
 
 namespace mvs::metrics {
 
@@ -49,18 +48,6 @@ class ObjectRecall {
   /// Per-frame unique-id scratch (sorted + deduplicated in place each
   /// frame); reused so warm add_frame calls allocate nothing.
   std::vector<std::uint64_t> ids_scratch_;
-};
-
-/// Mean of per-frame maxima — the "slowest camera" statistic of Fig. 13.
-class SlowestCameraLatency {
- public:
-  void add_frame(const std::vector<double>& per_camera_ms);
-  double mean_ms() const { return stats_.mean(); }
-  double max_ms() const { return stats_.max(); }
-  std::size_t frames() const { return stats_.count(); }
-
- private:
-  util::RunningStats stats_;
 };
 
 }  // namespace mvs::metrics

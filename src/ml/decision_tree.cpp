@@ -106,22 +106,6 @@ double DecisionTree::decision(const Feature& x) const {
   return leaf_for(x)->positive_fraction - 0.5;
 }
 
-int DecisionTree::depth() const {
-  std::function<int(const Node*)> rec = [&](const Node* n) -> int {
-    if (!n || n->feature < 0) return 0;
-    return 1 + std::max(rec(n->left.get()), rec(n->right.get()));
-  };
-  return rec(root_.get());
-}
-
-std::size_t DecisionTree::node_count() const {
-  std::function<std::size_t(const Node*)> rec = [&](const Node* n) -> std::size_t {
-    if (!n) return 0;
-    return 1 + rec(n->left.get()) + rec(n->right.get());
-  };
-  return rec(root_.get());
-}
-
 std::vector<DecisionTree::FlatNode> DecisionTree::flatten() const {
   std::vector<FlatNode> out;
   std::function<int(const Node*)> rec = [&](const Node* n) -> int {

@@ -23,9 +23,6 @@ class DecisionTree final : public BinaryClassifier {
   bool predict(const Feature& x) const override;
   double decision(const Feature& x) const override;
 
-  int depth() const;
-  std::size_t node_count() const;
-
   /// Flattened tree node (model export): interior nodes have feature >= 0
   /// and child indices pointing strictly FORWARD in the flattened array
   /// (pre-order), leaves have feature == -1.

@@ -40,10 +40,6 @@ double LogisticRegression::decision(const Feature& x) const {
   return z;
 }
 
-double LogisticRegression::probability(const Feature& x) const {
-  return sigmoid(decision(x));
-}
-
 bool LogisticRegression::predict(const Feature& x) const {
   return decision(x) > 0.0;
 }

@@ -25,9 +25,6 @@ class LogisticRegression final : public BinaryClassifier {
   bool predict(const Feature& x) const override;
   double decision(const Feature& x) const override;
 
-  /// P(label = 1 | x).
-  double probability(const Feature& x) const;
-
   /// Fitted parameters (model export): weights in SCALED feature space with
   /// the bias as the last entry, and the scaler that defines that space.
   const Feature& raw_weights() const { return weights_; }

@@ -17,9 +17,4 @@ double LinkModel::download_ms(std::size_t bytes) const {
   return transfer_ms(bytes, cfg_.downlink_mbps, cfg_.base_latency_ms);
 }
 
-double LinkModel::round_trip_ms(std::size_t up_bytes, double processing_ms,
-                                std::size_t down_bytes) const {
-  return upload_ms(up_bytes) + processing_ms + download_ms(down_bytes);
-}
-
 }  // namespace mvs::net

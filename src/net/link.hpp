@@ -22,11 +22,6 @@ class LinkModel {
   /// Transfer time of a downlink message of `bytes` payload.
   double download_ms(std::size_t bytes) const;
 
-  /// Round trip: uplink `up_bytes`, processing `processing_ms`, downlink
-  /// `down_bytes` — the key-frame central-stage cycle.
-  double round_trip_ms(std::size_t up_bytes, double processing_ms,
-                       std::size_t down_bytes) const;
-
   const Config& config() const { return cfg_; }
 
  private:

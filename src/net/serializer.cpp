@@ -16,11 +16,6 @@ void ByteWriter::f64(double v) {
   u64(bits);
 }
 
-void ByteWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
 void ByteWriter::bbox(const geom::BBox& b) {
   f64(b.x);
   f64(b.y);
@@ -61,15 +56,6 @@ std::optional<double> ByteReader::f64() {
   double v;
   std::memcpy(&v, &*bits, sizeof(v));
   return v;
-}
-
-std::optional<std::string> ByteReader::str() {
-  const auto len = u32();
-  if (!len || !need(*len)) return std::nullopt;
-  std::string s(buf_.begin() + static_cast<long>(pos_),
-                buf_.begin() + static_cast<long>(pos_ + *len));
-  pos_ += *len;
-  return s;
 }
 
 std::optional<geom::BBox> ByteReader::bbox() {

@@ -22,7 +22,6 @@ class ByteWriter {
   void u64(std::uint64_t v);
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void f64(double v);
-  void str(const std::string& s);
   void bbox(const geom::BBox& b);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -43,7 +42,6 @@ class ByteReader {
   std::optional<std::uint64_t> u64();
   std::optional<std::int32_t> i32();
   std::optional<double> f64();
-  std::optional<std::string> str();
   std::optional<geom::BBox> bbox();
 
   bool exhausted() const { return pos_ == buf_.size(); }

@@ -8,10 +8,6 @@ const char* to_string(TransportKind kind) {
   return util::enum_name(kTransportNames, static_cast<int>(kind));
 }
 
-std::optional<TransportKind> parse_transport(std::string name) {
-  return util::enum_value<TransportKind>(kTransportNames, std::move(name));
-}
-
 IdealTransport::IdealTransport(std::size_t cameras, LinkModel link)
     : link_(link),
       cameras_(cameras),

@@ -37,9 +37,6 @@ inline constexpr util::EnumName kTransportNames[] = {
     util::enum_entry("netsim", TransportKind::kLossy)};
 
 const char* to_string(TransportKind kind);
-/// Parse a kTransportNames spelling (case-insensitive); nullopt on unknown
-/// names.
-std::optional<TransportKind> parse_transport(std::string name);
 
 /// Something noteworthy that happened to one message during a cycle.
 struct MessageEvent {

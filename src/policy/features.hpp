@@ -111,7 +111,7 @@ double normalized_residual(const vision::FlowField& field);
 /// Fraction of flow blocks with |flow| >= motion_threshold (flow pixels)
 /// whose centers are NOT inside any `explained` box (track or ghost boxes,
 /// in flow-field coordinates). This is the cheapest possible "something new
-/// is moving" signal: the same quantity vision::extract_new_regions
+/// is moving" signal: the same quantity vision::extract_new_regions_into
 /// clusters, without the clustering.
 double unexplained_motion_fraction(const vision::FlowField& field,
                                    const std::vector<geom::BBox>& explained,

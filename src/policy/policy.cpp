@@ -127,14 +127,6 @@ std::string load_model_text(const PolicyConfig& cfg) {
 
 }  // namespace
 
-const char* to_string(PolicyKind kind) {
-  return util::enum_name(kPolicyKindNames, static_cast<int>(kind));
-}
-
-std::optional<PolicyKind> parse_policy_kind(std::string name) {
-  return util::enum_value<PolicyKind>(kPolicyKindNames, std::move(name));
-}
-
 std::unique_ptr<FramePolicy> make_policy(const PolicyConfig& config,
                                          std::size_t cameras) {
   switch (config.kind) {

@@ -46,9 +46,6 @@ inline constexpr util::EnumName kPolicyKindNames[] = {
     util::enum_entry("heuristic", PolicyKind::kHeuristic),
     util::enum_entry("learned", PolicyKind::kLearned)};
 
-const char* to_string(PolicyKind kind);
-/// Parse "fixed" | "heuristic" | "learned", case-insensitive.
-std::optional<PolicyKind> parse_policy_kind(std::string name);
 
 /// Config-facing knobs (the `policy {}` table of runtime/config.cpp, which
 /// also binds their CLI flags).

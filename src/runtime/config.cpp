@@ -107,7 +107,7 @@ using Member =
 
 /// One config knob: JSON key, bound member, range (numbers) or names
 /// (enums), and the CLI flag, value placeholder and help when the knob has
-/// a flag. A bool flag named "no-..." sets the field to false.
+/// a flag. A bool flag sets the field to true.
 template <class T>
 struct Field {
   const char* key;
@@ -155,8 +155,6 @@ template <> Table<PipelineConfig> table() {
       {"verbose", &C::verbose, {}, {}, "verbose", nullptr,
        "per-frame progress logging"},
       {"threads", &C::threads, at_least(0)},
-      {"tile_flow", &C::tile_flow, {}, {}, "no-tile-flow", nullptr,
-       "no intra-frame optical-flow row tiling (output-identical)"},
       {"tight_masks", &C::tight_masks},
       {"paired_rng", &C::paired_rng, {}, {}, "paired-rng", nullptr,
        "re-seed each camera's RNG per frame (policy A/B studies)"},
@@ -642,10 +640,6 @@ std::optional<Policy> parse_policy(std::string name) {
   return enum_value<Policy>(kPolicyNames, std::move(name));
 }
 
-std::optional<LatePolicy> parse_late_policy(std::string name) {
-  return enum_value<LatePolicy>(kLatePolicyNames, std::move(name));
-}
-
 const char* to_string(LatePolicy policy) {
   return enum_name(kLatePolicyNames, static_cast<int>(policy));
 }
@@ -801,8 +795,7 @@ bool apply_schema_flag(RunConfig* run, const std::string& name,
           if (!std::holds_alternative<bool T::*>(f->member))
             return read_field(*f, text_value(*f, value), obj, label, error);
           if (!value.empty()) return fail(error, label + " takes no value");
-          return read_field(*f, Json(name.rfind("no-", 0) != 0), obj, label,
-                            error);
+          return read_field(*f, Json(true), obj, label, error);
         },
         block);
     if (applied) return *applied;

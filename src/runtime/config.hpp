@@ -158,8 +158,6 @@ enum class LatePolicy {
   kFinishLate,  ///< never drop; a late emission still counts as a miss
 };
 
-/// nullopt on unknown names ("drop", "supersede", "finish-late").
-std::optional<LatePolicy> parse_late_policy(std::string name);
 const char* to_string(LatePolicy policy);
 
 /// The "rt" block of a run config: streaming-perception pacing (mvs::rt).

@@ -204,7 +204,7 @@ struct Pipeline::Impl {
     active.assign(m, 1);
     gpu_work.resize(m);
     key_dets_.resize(m);
-    tile_flow = cfg.tile_flow && m < pool.thread_count();
+    tile_flow = m < pool.thread_count();
 
     // Detect-or-track layer. The fixed kind is fast-pathed: no policy
     // object, no feature bookkeeping, no extra obs signals — the pipeline
@@ -762,7 +762,8 @@ struct Pipeline::Impl {
   }
 
   /// Stage `pipeline.flow` (per camera): block optical flow from the
-  /// previous frame, tiled across idle pool workers when enabled.
+  /// previous frame, tiled across idle pool workers when the cameras are
+  /// fewer than the pool threads.
   void flow_stage(CameraNode& cam, CamFrameResult& result) {
     StageScope stage("pipeline.flow", &result.tracking_ms);
     cam.flow_engine.compute(cam.scratch, cam.flow,
@@ -1011,7 +1012,7 @@ struct Pipeline::Impl {
     // corrected it (recording only).
     if (feature_trace.is_open())
       cam.tracker.predicted_boxes_into(cam.step.predicted);
-    // Snapshot so tracks removed by update() can enter the lost list with
+    // Snapshot so tracks removed by update_into() can enter the lost list with
     // their final box and velocity (policy mode only).
     if (frame_policy) cam.step.pre_update = cam.tracker.tracks();
 
@@ -1238,6 +1239,9 @@ struct Pipeline::Impl {
   core::CameraMasks sp_masks;
   bool sp_masks_ready = false;
   metrics::ObjectRecall recall;
+  /// Run totals of FrameStats::retries / dropped_msgs (history-independent).
+  long retries_total = 0;
+  long dropped_msgs_total = 0;
 
   // Frame-scope working memory, reused tick over tick (DESIGN.md §11): the
   // current multi-frame, the stats record run_frame_ref hands out, the
@@ -1379,6 +1383,8 @@ const FrameStats& Pipeline::Impl::run_frame() {
     m.histogram("pipeline.recall").record(stats.frame_recall);
     m.histogram("pipeline.cameras_online").record(stats.cameras_online);
   }
+  retries_total += stats.retries;
+  dropped_msgs_total += stats.dropped_msgs;
   if (cfg.keep_history) all_frames.push_back(stats);
   if (cfg.verbose && f % 50 == 0)
     util::log_info("frame ", f, " recall=", stats.frame_recall,
@@ -1399,8 +1405,6 @@ void Pipeline::set_tight_masks(bool tight) {
   config_.tight_masks = tight;
   impl_->cfg.tight_masks = tight;
 }
-
-FrameStats Pipeline::run_frame() { return impl_->run_frame(); }
 
 const FrameStats& Pipeline::run_frame_ref() { return impl_->run_frame(); }
 
@@ -1429,6 +1433,12 @@ const sim::Scenario& Pipeline::scenario() const {
 PipelineResult Pipeline::result() const { return impl_->snapshot(0); }
 
 double Pipeline::object_recall() const { return impl_->recall.recall(); }
+
+long Pipeline::total_retries() const { return impl_->retries_total; }
+
+long Pipeline::total_dropped_msgs() const {
+  return impl_->dropped_msgs_total;
+}
 
 PipelineResult Pipeline::run(int frames) {
   const std::size_t start = impl_->all_frames.size();

@@ -43,13 +43,12 @@ struct PipelineConfig {
   double recall_iou = 0.4;      ///< IoU for the object-recall metric
   std::uint64_t seed = 42;
   bool verbose = false;
-  /// Worker threads for per-camera (and tiled-flow) parallelism; 0 selects
-  /// hardware concurrency. Results are identical for any thread count.
+  /// Worker threads for per-camera parallelism; 0 selects hardware
+  /// concurrency. When the cameras are fewer than the pool threads, each
+  /// camera's optical-flow rows are also tiled across the idle workers
+  /// (tiles write disjoint row ranges). Results are identical for any
+  /// thread count.
   int threads = 0;
-  /// When the camera fleet is smaller than the pool, tile optical-flow rows
-  /// of each camera across the idle workers. Output-identical either way
-  /// (tiles write disjoint row ranges); off only for A/B latency studies.
-  bool tile_flow = true;
   /// kIdeal charges the closed-form LinkModel numbers (bit-exact with the
   /// pre-netsim pipeline); kLossy runs the discrete-event netsim transport.
   net::TransportKind transport = net::TransportKind::kIdeal;
@@ -159,20 +158,16 @@ class Pipeline {
   Pipeline& operator=(const Pipeline&) = delete;
 
   /// Run `frames` evaluation frames and return the collected statistics.
-  /// Equivalent to calling run_frame() `frames` times; the returned result
-  /// covers exactly the frames of THIS call.
+  /// Equivalent to calling run_frame_ref() `frames` times; the returned
+  /// result covers exactly the frames of THIS call.
   PipelineResult run(int frames);
 
   /// Stepwise entry point: advance exactly one evaluation frame and return
-  /// its statistics. Interleavable with other sessions by an embedding
-  /// runtime; run_frame x N is bit-identical to run(N).
-  FrameStats run_frame();
-
-  /// Allocation-free variant of run_frame(): advances one frame and returns
-  /// a reference to an internal FrameStats that is overwritten by the next
-  /// run_frame()/run_frame_ref()/run() call. The hot path for embeddings
-  /// (fleet serving) that poll stats every tick and must not copy the
-  /// per-camera vector.
+  /// a reference to its statistics, an internal FrameStats that is
+  /// overwritten by the next run_frame_ref()/run() call. Interleavable with
+  /// other sessions by an embedding runtime; run_frame_ref x N is
+  /// bit-identical to run(N). Allocation-free once warm: the hot path for
+  /// embeddings (fleet serving) that poll stats every tick.
   const FrameStats& run_frame_ref();
 
   /// Advance one evaluation frame WITHOUT processing it: the scenario
@@ -200,8 +195,13 @@ class Pipeline {
   /// reports, without copying the frame history.
   double object_recall() const;
 
+  /// Transport fault totals over every frame run so far (lossy transport
+  /// only). Kept as running sums, so they stay valid with keep_history off.
+  long total_retries() const;
+  long total_dropped_msgs() const;
+
   /// Per-camera simulated-GPU demand of the most recent frame (empty before
-  /// the first frame). Valid until the next run_frame()/run() call.
+  /// the first frame). Valid until the next run_frame_ref()/run() call.
   const std::vector<CameraGpuWork>& last_gpu_work() const;
 
   std::size_t camera_count() const;
@@ -212,7 +212,7 @@ class Pipeline {
 
   /// Flip the tight_masks degraded mode at a frame boundary (fleet
   /// re-admission un-tightens a session's masks without rebuilding it).
-  /// Takes effect from the next run_frame(); a no-op when unchanged.
+  /// Takes effect from the next run_frame_ref(); a no-op when unchanged.
   void set_tight_masks(bool tight);
 
   /// Optionally record every scheduling decision (assignments, adoptions,

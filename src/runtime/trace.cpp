@@ -5,7 +5,6 @@
 #include <atomic>
 
 #include "obs/obs.hpp"
-#include "util/json.hpp"
 
 namespace mvs::runtime {
 
@@ -57,22 +56,7 @@ obs::Counter& event_counter(std::size_t type) {
   return *slot.counter.load(std::memory_order_relaxed);
 }
 
-util::Json event_json(const TraceEvent& e) {
-  util::Json::Object obj;
-  obj["frame"] = util::Json(static_cast<double>(e.frame));
-  obj["camera"] = util::Json(e.camera);
-  obj["type"] = util::Json(to_string(e.type));
-  obj["object"] = util::Json(static_cast<double>(e.object_key));
-  obj["value"] = util::Json(e.value);
-  return util::Json(std::move(obj));
-}
-
 }  // namespace
-
-const char* to_string(TraceEventType type) {
-  const auto i = static_cast<std::size_t>(type);
-  return i < kTypeCount ? kTypes[i].name : "?";
-}
 
 void emit_to_sinks(TraceRecorder* trace, const TraceEvent& event) {
   if (trace) trace->record(event);
@@ -98,22 +82,6 @@ std::size_t TraceRecorder::count(TraceEventType type) const {
   return static_cast<std::size_t>(
       std::count_if(events_.begin(), events_.end(),
                     [type](const TraceEvent& e) { return e.type == type; }));
-}
-
-std::size_t TraceRecorder::total() const {
-  std::scoped_lock lock(mutex_);
-  return events_.size();
-}
-
-void TraceRecorder::clear() {
-  std::scoped_lock lock(mutex_);
-  events_.clear();
-}
-
-std::string TraceRecorder::to_json() const {
-  util::Json::Array array;
-  for (const TraceEvent& e : events()) array.push_back(event_json(e));
-  return util::Json(std::move(array)).dump();
 }
 
 }  // namespace mvs::runtime

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -51,8 +50,6 @@ enum class TraceEventType {
   kTraceEventTypeCount_,  ///< sentinel: number of event types (not an event)
 };
 
-const char* to_string(TraceEventType type);
-
 struct TraceEvent {
   long frame = 0;
   int camera = -1;  ///< -1 = central scheduler
@@ -69,11 +66,6 @@ class TraceRecorder {
   std::vector<TraceEvent> events() const;
 
   std::size_t count(TraceEventType type) const;
-  std::size_t total() const;
-  void clear();
-
-  /// JSON array of event objects.
-  std::string to_json() const;
 
  private:
   mutable std::mutex mutex_;

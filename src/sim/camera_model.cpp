@@ -21,10 +21,6 @@ CameraModel::CameraModel(Config cfg) : cfg_(cfg) {
          right_.x * forward_.y - right_.y * forward_.x};
 }
 
-double CameraModel::depth_of(const Vec3& world) const {
-  return (world - cfg_.position).dot(forward_);
-}
-
 std::optional<geom::Vec2> CameraModel::project(const Vec3& world) const {
   const Vec3 rel = world - cfg_.position;
   const double depth = rel.dot(forward_);

@@ -43,10 +43,6 @@ class CameraModel {
   /// depth range.
   std::optional<geom::Vec2> project(const Vec3& world) const;
 
-  /// Depth (meters along the optical axis) of a world point; negative when
-  /// behind the camera.
-  double depth_of(const Vec3& world) const;
-
   /// Project a world object's 3-D box (8 corners) into the clamped 2-D pixel
   /// AABB; nullopt when the object is not visible from this camera under the
   /// config thresholds.

@@ -40,11 +40,4 @@ void apply_occlusion_inplace(std::vector<detect::GroundTruthObject>& objects,
   });
 }
 
-std::vector<detect::GroundTruthObject> apply_occlusion(
-    std::vector<detect::GroundTruthObject> objects,
-    const OcclusionConfig& cfg) {
-  apply_occlusion_inplace(objects, cfg);
-  return objects;
-}
-
 }  // namespace mvs::sim

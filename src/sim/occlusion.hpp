@@ -19,14 +19,9 @@ struct OcclusionConfig {
   bool enabled = true;
 };
 
-/// Filter a camera's ground-truth list: drop objects whose box is covered by
-/// a closer (smaller distance_m) object's box beyond the threshold.
-/// Preserves the relative order of the survivors.
-std::vector<detect::GroundTruthObject> apply_occlusion(
-    std::vector<detect::GroundTruthObject> objects,
-    const OcclusionConfig& cfg = {});
-
-/// apply_occlusion in place (same filter, no return copy). A disabled
+/// Filter a camera's ground-truth list in place: drop objects whose box is
+/// covered by a closer (smaller distance_m) object's box beyond the
+/// threshold. Preserves the relative order of the survivors. A disabled
 /// config is a strict no-op, which keeps the default pipeline path
 /// allocation-free (DESIGN.md §11).
 void apply_occlusion_inplace(std::vector<detect::GroundTruthObject>& objects,

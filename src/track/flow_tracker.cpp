@@ -5,8 +5,6 @@
 
 namespace mvs::track {
 
-bool FlowTracker::has_track(long id) const { return find(id) != nullptr; }
-
 const Track* FlowTracker::find(long id) const {
   for (const Track& t : tracks_)
     if (t.id == id) return &t;
@@ -41,14 +39,6 @@ void FlowTracker::predict(const vision::FlowField& flow, double scale,
     ++t.age;
     ++t.frames_since_correct;
   }
-}
-
-FlowTracker::UpdateResult FlowTracker::update(
-    const std::vector<detect::Detection>& dets,
-    const std::vector<long>* miss_scope) {
-  UpdateResult result;
-  update_into(dets, miss_scope, result);
-  return result;
 }
 
 void FlowTracker::update_into(const std::vector<detect::Detection>& dets,
@@ -133,18 +123,6 @@ long FlowTracker::add_track(const detect::Detection& det) {
                         det.box.y + det.box.h / 2.0};
   tracks_.push_back(t);
   return t.id;
-}
-
-void FlowTracker::remove_track(long id) {
-  tracks_.erase(std::remove_if(tracks_.begin(), tracks_.end(),
-                               [id](const Track& t) { return t.id == id; }),
-                tracks_.end());
-}
-
-std::vector<std::pair<long, geom::BBox>> FlowTracker::predicted_boxes() const {
-  std::vector<std::pair<long, geom::BBox>> out;
-  predicted_boxes_into(out);
-  return out;
 }
 
 void FlowTracker::predicted_boxes_into(

@@ -53,7 +53,6 @@ class FlowTracker {
 
   const std::vector<Track>& tracks() const { return tracks_; }
   std::vector<Track>& tracks() { return tracks_; }
-  bool has_track(long id) const;
   const Track* find(long id) const;
 
   /// Replace all tracks from a key-frame detection list (full inspection).
@@ -90,25 +89,18 @@ class FlowTracker {
   /// and must not be punished for the absent evidence. All tracks still
   /// participate in matching — a detection from a neighboring ROI that
   /// lands on a skipped track corrects it for free.
-  UpdateResult update(const std::vector<detect::Detection>& dets,
-                      const std::vector<long>* miss_scope = nullptr);
-
-  /// update() with a caller-owned result object. Bit-identical outcome; the
-  /// result's vectors and the tracker's internal matching scratch keep their
-  /// capacity, so a warmed-up per-frame update allocates nothing
-  /// (DESIGN.md §11).
+  ///
+  /// The result object is caller-owned: its vectors and the tracker's
+  /// internal matching scratch keep their capacity, so a warmed-up
+  /// per-frame update allocates nothing (DESIGN.md §11).
   void update_into(const std::vector<detect::Detection>& dets,
                    const std::vector<long>* miss_scope, UpdateResult& out);
 
   /// Start tracking a detection; returns the new track id.
   long add_track(const detect::Detection& det);
 
-  void remove_track(long id);
-
-  /// (track id, predicted box) pairs for ROI slicing.
-  std::vector<std::pair<long, geom::BBox>> predicted_boxes() const;
-
-  /// predicted_boxes() into a caller-owned vector (cleared first).
+  /// (track id, predicted box) pairs for ROI slicing, into a caller-owned
+  /// vector (cleared first).
   void predicted_boxes_into(
       std::vector<std::pair<long, geom::BBox>>& out) const;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace mvs::util {
 
@@ -19,35 +18,12 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double SampleSet::mean() const {
-  if (xs_.empty()) return 0.0;
-  return std::accumulate(xs_.begin(), xs_.end(), 0.0) /
-         static_cast<double>(xs_.size());
-}
 
 double SampleSet::percentile(double p) const {
   if (xs_.empty()) return 0.0;
@@ -60,14 +36,6 @@ double SampleSet::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, s.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return s[lo] * (1.0 - frac) + s[hi] * frac;
-}
-
-double SampleSet::min() const {
-  return xs_.empty() ? 0.0 : *std::min_element(xs_.begin(), xs_.end());
-}
-
-double SampleSet::max() const {
-  return xs_.empty() ? 0.0 : *std::max_element(xs_.begin(), xs_.end());
 }
 
 }  // namespace mvs::util

@@ -11,7 +11,6 @@ namespace mvs::util {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -35,10 +34,7 @@ class SampleSet {
  public:
   void add(double x) { xs_.push_back(x); }
   std::size_t count() const { return xs_.size(); }
-  double mean() const;
   double percentile(double p) const;  ///< p in [0,100], linear interpolation
-  double min() const;
-  double max() const;
   const std::vector<double>& samples() const { return xs_; }
 
  private:

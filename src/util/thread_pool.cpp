@@ -1,46 +1,17 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <mutex>
 #include <utility>
 
 namespace mvs::util {
 
-void ThreadPool::submit(std::function<void()> task) {
-  // Cold path by contract (see header): box the callable once.
-  auto* holder = new std::function<void()>(std::move(task));
-  // Relaxed: the queue push below publishes; this counter only needs to be
-  // incremented before the matching finish_task() decrement can run, which
-  // the push ordering guarantees.
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  push_task(Task{&run_submitted, holder});
-}
-
-void ThreadPool::run_submitted(void* arg) {
-  std::unique_ptr<std::function<void()>> fn(
-      static_cast<std::function<void()>*>(arg));
-  (*fn)();  // may throw: worker_loop captures into first_error_
-}
-
-void ThreadPool::wait_idle() {
-  for (;;) {
-    // Acquire: pairs with finish_task()'s release decrement, making every
-    // completed task's writes visible to the waiter.
-    const std::size_t in_flight = in_flight_.load(std::memory_order_acquire);
-    if (in_flight == 0) break;
-    in_flight_.wait(in_flight, std::memory_order_acquire);
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard lock(error_mu_);
-    error = std::exchange(first_error_, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-/// Shared state of one run_tiles() call. Recycled through tile_groups_; a
-/// reference count (caller + every successfully enqueued helper) keeps the
-/// group out of the free list until the last late-dequeued helper — which
-/// then finds no tiles left and exits without touching `fn` — has let go.
+/// Shared state of one parallel_for_each() call. Recycled through
+/// tile_groups_; a reference count (caller + every successfully enqueued
+/// helper) keeps the group out of the free list until the last late-dequeued
+/// helper — which then finds no tiles left and exits without touching `fn` —
+/// has let go.
 struct ThreadPool::TileGroup {
   std::atomic<std::size_t> next{0};       ///< tile claim ticket
   std::atomic<std::size_t> completed{0};  ///< tiles fully finished
@@ -84,7 +55,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
     threads = std::max(1u, std::thread::hardware_concurrency());
   // Every tile group this pool will ever use, parked before the first
-  // dispatch: run_tiles() only recycles them, so warm dispatch never
+  // dispatch: parallel_for_each() only recycles them, so warm dispatch never
   // allocates however late the helpers of earlier calls run.
   tile_groups_.prefill(kTileGroups);
   workers_.reserve(threads);
@@ -113,9 +84,8 @@ void ThreadPool::run_helper(void* arg) {
   group->pool->release_group(group);
 }
 
-void ThreadPool::run_tiles_erased(std::size_t n,
-                                  void (*invoke)(void*, std::size_t),
-                                  void* fn) {
+void ThreadPool::run_erased(std::size_t n, void (*invoke)(void*, std::size_t),
+                            void* fn) {
   if (n == 0) return;
   TileGroup* group = tile_groups_.try_acquire();
   if (group == nullptr) {
@@ -156,7 +126,7 @@ void ThreadPool::run_tiles_erased(std::size_t n,
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     if (!queue_.try_push(Task{&run_helper, group})) {
       group->refs.fetch_sub(1, std::memory_order_relaxed);
-      finish_task();
+      in_flight_.fetch_sub(1, std::memory_order_relaxed);
       break;
     }
     wake_one();
@@ -178,19 +148,6 @@ void ThreadPool::run_tiles_erased(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::push_task(const Task& task) {
-  // Backpressure: the ring is bounded; spin briefly, then yield, until a
-  // slot frees up. Only submit() reaches this (helpers use try_push).
-  int spins = 0;
-  while (!queue_.try_push(task)) {
-    if (++spins < 64)
-      cpu_relax();
-    else
-      std::this_thread::yield();
-  }
-  wake_one();
-}
-
 bool ThreadPool::pop_task(Task& out) {
   for (;;) {
     // Fast path: spin briefly before committing to sleep.
@@ -201,9 +158,9 @@ bool ThreadPool::pop_task(Task& out) {
     // Acquire: pairs with the destructor's release store.
     if (stopping_.load(std::memory_order_acquire)) {
       if (queue_.try_pop(out)) return true;  // drain before exiting
-      // Acquire: pairs with finish_task's release decrement. in_flight_ > 0
-      // means a task is mid-push or mid-run; keep draining so no queued
-      // work is abandoned (matches the old mutex queue's semantics).
+      // Acquire: pairs with worker_loop's release decrement. in_flight_ > 0
+      // means a helper is mid-push or mid-run; keep draining so no queued
+      // helper (nor the tile group it holds) is abandoned.
       if (in_flight_.load(std::memory_order_acquire) == 0) return false;
       std::this_thread::yield();
       continue;
@@ -251,24 +208,13 @@ void ThreadPool::wake_all() {
   wake_epoch_.notify_all();
 }
 
-void ThreadPool::finish_task() {
-  // Acq_rel: release publishes the finished task's writes to wait_idle()'s
-  // acquire load; acquire orders the notify against prior decrements.
-  if (in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-    in_flight_.notify_all();
-}
-
 void ThreadPool::worker_loop() {
   Task task;
   while (pop_task(task)) {
-    try {
-      task.fn(task.arg);
-    } catch (...) {
-      // Only submit() tasks can throw (tile helpers capture per-group).
-      std::lock_guard lock(error_mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    finish_task();
+    task.fn(task.arg);  // run_helper: tile errors are captured per group
+    // Release: publishes the helper's release of its group before the
+    // destructor's drain can observe zero in flight.
+    in_flight_.fetch_sub(1, std::memory_order_release);
   }
 }
 

@@ -4,40 +4,31 @@
 // execution is deterministic as long as each camera's work stays on its own
 // state — which parallel_for_each guarantees by partitioning indices.
 //
-// run_tiles() adds a second, nested-safe level of parallelism: the calling
-// thread (which may itself be a pool worker) claims tiles from a shared
-// counter alongside idle workers, so a worker can fan out sub-tasks without
-// ever blocking on a queue it is needed to drain (no deadlock even with a
-// single worker).
+// parallel_for_each() is the pool's one entry: a fork-join call in which the
+// calling thread (which may itself be a pool worker) claims indices from a
+// shared counter alongside idle workers, so a worker can fan out sub-tasks
+// without ever blocking on a queue it is needed to drain (no deadlock even
+// with a single worker, and nested calls are safe).
 //
 // SHAREABILITY: one pool may serve many independent clients concurrently
-// (the fleet runtime runs every session over a single pool). Both
-// parallel_for_each() and run_tiles() operate on a per-call completion
-// group: concurrent calls from different threads — or nested calls from
-// inside pool tasks — never wait on each other's work and never observe
-// each other's exceptions. Only the low-level submit()/wait_idle() pair has
-// pool-global semantics (wait_idle waits for ALL submitted tasks and may
-// rethrow any submitted task's exception); clients sharing a pool should
-// use the group-based calls.
+// (the fleet runtime runs every session over a single pool). Every call
+// operates on its own completion group: concurrent calls from different
+// threads — or nested calls from inside pool tasks — never wait on each
+// other's work and never observe each other's exceptions.
 //
 // HOT-PATH DESIGN (DESIGN.md §11): the task queue is a bounded lock-free
 // MPMC ring (util::MpmcQueue) of POD {fn, arg} slots; sleep/wake is an
 // eventcount (sleeper counter + wake epoch + C++20 atomic wait as the futex
-// slow path), so dispatching work never takes a mutex. run_tiles() and
-// parallel_for_each() are templates over the callable — no std::function
-// temporaries — and their per-call completion groups are parked in a
-// util::Pool at construction and recycled under a reference count, so
-// dispatch performs zero heap allocations. The only mutexes left are cold
-// paths: exception capture, and the heap-boxed std::function behind
-// submit().
+// slow path), so dispatching work never takes a mutex. parallel_for_each()
+// is a template over the callable — no std::function temporaries — and its
+// per-call completion groups are parked in a util::Pool at construction and
+// recycled under a reference count, so dispatch performs zero heap
+// allocations. The only mutex left is the cold per-group exception capture.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -58,44 +49,20 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// Enqueue a task; tasks may run in any order on any worker. Not a
-  /// hot-path call: the callable is boxed on the heap (use run_tiles /
-  /// parallel_for_each on allocation-free paths). Applies backpressure by
-  /// spinning/yielding when the ring is full.
-  void submit(std::function<void()> task);
-
-  /// Block until every submitted task has finished. If any task threw, the
-  /// first captured exception is rethrown here (subsequent tasks still ran).
-  void wait_idle();
-
-  /// Run fn(i) for i in [0, n) across the pool and wait for completion.
-  /// fn must only touch state owned by index i (or be otherwise synchronized).
-  /// Rethrows the first exception any invocation threw. Per-call completion
-  /// group: safe to call concurrently from many threads and from inside pool
-  /// tasks (the caller participates, so nesting never deadlocks).
+  /// Run fn(i) for i in [0, n) and wait for completion, with the CALLING
+  /// thread participating: indices are claimed from a shared counter by the
+  /// caller and by any idle workers. Safe to call concurrently from many
+  /// threads and from inside a pool task (nested parallelism) — the caller
+  /// makes progress on its own indices even when every worker is busy.
+  /// fn must only touch state owned by index i (or be otherwise
+  /// synchronized). Rethrows the first exception any invocation threw,
+  /// after every claimed index finished. The callable is borrowed by
+  /// address for the duration of the call, never copied or boxed.
   template <typename Fn>
   void parallel_for_each(std::size_t n, Fn&& fn) {
-    // Delegates to the per-call tile group: the caller participates (nested
-    // calls from pool tasks make progress even when every worker is busy)
-    // and completion/exception state is private to this call, so concurrent
-    // sessions sharing the pool never cross-talk through wait_idle().
-    run_tiles(n, std::forward<Fn>(fn));
-  }
-
-  /// Run fn(i) for i in [0, n) with the CALLING thread participating: tiles
-  /// are claimed from a shared counter by the caller and by any idle
-  /// workers. Safe to call from inside a pool task (nested parallelism) —
-  /// the caller makes progress on its own tiles even when every worker is
-  /// busy. fn must only touch state owned by index i. Rethrows the first
-  /// exception any invocation threw, after all claimed tiles finished.
-  /// The callable is borrowed by address for the duration of the call (the
-  /// caller outlives every helper's use of it), never copied or boxed.
-  template <typename Fn>
-  void run_tiles(std::size_t n, Fn&& fn) {
     using D = std::remove_reference_t<Fn>;
-    run_tiles_erased(
-        n, &invoke_tile<D>,
-        const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
+    run_erased(n, &invoke_tile<D>,
+               const_cast<void*>(static_cast<const void*>(std::addressof(fn))));
   }
 
  private:
@@ -111,16 +78,13 @@ class ThreadPool {
     (*static_cast<D*>(fn))(i);
   }
 
-  void run_tiles_erased(std::size_t n, void (*invoke)(void*, std::size_t),
-                        void* fn);
-  static void run_helper(void* arg);     ///< tile-group helper task body
-  static void run_submitted(void* arg);  ///< submit() task body
+  void run_erased(std::size_t n, void (*invoke)(void*, std::size_t),
+                  void* fn);
+  static void run_helper(void* arg);  ///< tile-group helper task body
 
-  void push_task(const Task& task);  ///< blocking (backpressure) + wake
-  bool pop_task(Task& out);          ///< spins, then eventcount sleep
+  bool pop_task(Task& out);  ///< spins, then eventcount sleep
   void wake_one();
   void wake_all();
-  void finish_task();  ///< in_flight_ decrement + wait_idle wakeup
   void release_group(TileGroup* group);
   void worker_loop();
 
@@ -139,11 +103,10 @@ class ThreadPool {
   // so a push can never be missed by a worker committing to sleep.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> sleepers_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> wake_epoch_{0};
+  /// Helpers queued or running; the destructor's drain waits for zero so
+  /// no queued helper (and the tile group it holds) is abandoned.
   alignas(kCacheLineSize) std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> stopping_{false};
-
-  std::mutex error_mu_;              ///< cold: taken only when a task throws
-  std::exception_ptr first_error_;   ///< guarded by error_mu_
 };
 
 }  // namespace mvs::util

@@ -92,13 +92,4 @@ void PaddedImage::assign(const Image& src, int pad) {
   }
 }
 
-double mean_abs_diff(const Image& a, const Image& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
-  if (a.empty()) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.data().size(); ++i)
-    acc += std::abs(static_cast<int>(a.data()[i]) - static_cast<int>(b.data()[i]));
-  return acc / static_cast<double>(a.data().size());
-}
-
 }  // namespace mvs::vision

@@ -99,7 +99,4 @@ class PaddedImage {
   std::vector<std::uint8_t> data_;
 };
 
-/// Mean absolute pixel difference over the whole frame (test helper).
-double mean_abs_diff(const Image& a, const Image& b);
-
 }  // namespace mvs::vision

@@ -188,7 +188,7 @@ void OpticalFlow::match_level(const PaddedImage& pa, const PaddedImage& pb,
     // Tiles (rows) write disjoint est/res ranges and read only `coarse`,
     // which is complete before this level starts — deterministic under any
     // tile-to-worker mapping.
-    pool->run_tiles(static_cast<std::size_t>(rows), match_row);
+    pool->parallel_for_each(static_cast<std::size_t>(rows), match_row);
   } else {
     for (int r = 0; r < rows; ++r) match_row(static_cast<std::size_t>(r));
   }
@@ -272,13 +272,6 @@ geom::Vec2 median_flow_in(const FlowField& field, const geom::BBox& box) {
     return v[mid];
   };
   return {median(xs), median(ys)};
-}
-
-double mean_flow_magnitude(const FlowField& field) {
-  if (field.flow.empty()) return 0.0;
-  double acc = 0.0;
-  for (const geom::Vec2& v : field.flow) acc += v.norm();
-  return acc / static_cast<double>(field.flow.size());
 }
 
 }  // namespace mvs::vision

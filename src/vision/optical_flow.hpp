@@ -135,7 +135,4 @@ class OpticalFlow {
 /// Returns {0,0} when the box covers no block center.
 geom::Vec2 median_flow_in(const FlowField& field, const geom::BBox& box);
 
-/// Mean motion magnitude over all blocks (activity level of the scene).
-double mean_flow_magnitude(const FlowField& field);
-
 }  // namespace mvs::vision

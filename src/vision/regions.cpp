@@ -81,15 +81,6 @@ void extract_new_regions_into(const FlowField& field,
   }
 }
 
-std::vector<geom::BBox> extract_new_regions(
-    const FlowField& field, const std::vector<geom::BBox>& predicted,
-    double scale, const NewRegionConfig& cfg) {
-  RegionScratch scratch;
-  std::vector<geom::BBox> out;
-  extract_new_regions_into(field, predicted, scale, cfg, scratch, out);
-  return out;
-}
-
 void slice_regions_into(
     const std::vector<std::pair<long, geom::BBox>>& predicted,
     const geom::SizeClassSet& sizes, double frame_w, double frame_h,
@@ -104,15 +95,6 @@ void slice_regions_into(
         sizes.expand_to_class(box, region.size_class).clamped(frame_w, frame_h);
     out.push_back(region);
   }
-}
-
-std::vector<SliceRegion> slice_regions(
-    const std::vector<std::pair<long, geom::BBox>>& predicted,
-    const geom::SizeClassSet& sizes, double frame_w, double frame_h,
-    double margin) {
-  std::vector<SliceRegion> out;
-  slice_regions_into(predicted, sizes, frame_w, frame_h, margin, out);
-  return out;
 }
 
 }  // namespace mvs::vision

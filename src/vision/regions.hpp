@@ -21,14 +21,6 @@ struct NewRegionConfig {
   double merge_margin = 4.0;      ///< grow boxes before reporting
 };
 
-/// Connected components (4-connectivity over flow blocks) of moving blocks
-/// whose centers are outside every `predicted` box, merged into bounding
-/// boxes scaled by `scale` (rendered frames may be a downscaled view of the
-/// logical frame; scale maps block coordinates back to logical pixels).
-std::vector<geom::BBox> extract_new_regions(
-    const FlowField& field, const std::vector<geom::BBox>& predicted,
-    double scale = 1.0, const NewRegionConfig& cfg = {});
-
 /// Reusable working memory for extract_new_regions_into: the moving/seen
 /// block masks and the connected-component frontier (DESIGN.md §11).
 struct RegionScratch {
@@ -36,8 +28,12 @@ struct RegionScratch {
   std::vector<std::pair<int, int>> frontier;
 };
 
-/// extract_new_regions with caller-owned scratch and output (cleared first).
-/// Bit-identical regions; allocation-free once the scratch is warm.
+/// Connected components (4-connectivity over flow blocks) of moving blocks
+/// whose centers are outside every `predicted` box, merged into bounding
+/// boxes scaled by `scale` (rendered frames may be a downscaled view of the
+/// logical frame; scale maps block coordinates back to logical pixels).
+/// Caller-owned scratch and output (cleared first); allocation-free once
+/// the scratch is warm.
 void extract_new_regions_into(const FlowField& field,
                               const std::vector<geom::BBox>& predicted,
                               double scale, const NewRegionConfig& cfg,
@@ -53,13 +49,8 @@ struct SliceRegion {
 };
 
 /// Build quantized slice regions for the given predicted boxes (paper's
-/// "tracking-based image slicing"). Regions are clamped to the frame.
-std::vector<SliceRegion> slice_regions(
-    const std::vector<std::pair<long, geom::BBox>>& predicted,
-    const geom::SizeClassSet& sizes, double frame_w, double frame_h,
-    double margin = 8.0);
-
-/// slice_regions into a caller-owned vector (cleared first).
+/// "tracking-based image slicing") into a caller-owned vector (cleared
+/// first). Regions are clamped to the frame.
 void slice_regions_into(
     const std::vector<std::pair<long, geom::BBox>>& predicted,
     const geom::SizeClassSet& sizes, double frame_w, double frame_h,

@@ -14,7 +14,7 @@ import sys
 FLAGS = {
     # run options
     "scenario", "frames", "policy", "horizon", "seed", "threads",
-    "no-tile-flow", "paired-rng", "verbose", "transport", "csv", "config",
+    "paired-rng", "verbose", "transport", "csv", "config",
     "dump-config", "help",
     # detect-or-track policy
     "frame-policy", "policy-model", "policy-staleness", "policy-drift-px",

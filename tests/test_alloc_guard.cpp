@@ -234,31 +234,33 @@ TEST(AllocGuard, WarmPoolDispatchAllocatesNothing) {
     Armed armed;
     for (int k = 0; k < kCalls; ++k) {
       pool.parallel_for_each(hits.size(), tick);
-      pool.run_tiles(3, tick);
+      pool.parallel_for_each(3, tick);
     }
     EXPECT_EQ(armed.count(), 0) << "warm dispatch allocated";
   }
 
-  // Park every worker (submit() boxes its callable: outside the window),
-  // then dispatch until queued helpers hold more groups than are parked.
+  // Park every worker inside one call from an extra caller thread (started
+  // outside the window), then dispatch until queued helpers hold more
+  // groups than are parked.
   std::atomic<int> parked{0};
   std::atomic<bool> gate{false};
-  for (std::size_t w = 0; w < pool.thread_count(); ++w)
-    pool.submit([&] {
+  std::thread parker([&] {
+    pool.parallel_for_each(pool.thread_count() + 1, [&](std::size_t) {
       parked.fetch_add(1, std::memory_order_acq_rel);
       while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
     });
+  });
   while (parked.load(std::memory_order_acquire) <
-         static_cast<int>(pool.thread_count()))
+         static_cast<int>(pool.thread_count()) + 1)
     std::this_thread::yield();
   constexpr int kLagged = 300;  // > the 256 parked groups
   {
     Armed armed;
-    for (int k = 0; k < kLagged; ++k) pool.run_tiles(hits.size(), tick);
+    for (int k = 0; k < kLagged; ++k) pool.parallel_for_each(hits.size(), tick);
     EXPECT_EQ(armed.count(), 0) << "dispatch behind lagging helpers allocated";
   }
   gate.store(true, std::memory_order_release);
-  pool.wait_idle();
+  parker.join();
 
   EXPECT_EQ(hits[0], 1 + 2 * kCalls + kLagged);
   EXPECT_EQ(hits[7], 1 + kCalls + kLagged);

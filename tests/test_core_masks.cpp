@@ -49,24 +49,24 @@ TEST(PriorityMasks, OverlapGoesToHigherPriority) {
   EXPECT_FALSE(flipped.owns(1, {50, 50}));
 }
 
-TEST(PriorityMasks, OwnedFractionReflectsPriority) {
-  const CameraMasks masks =
-      build_priority_masks(dims(), 20, half_overlap_coverage(), {0, 1});
-  EXPECT_DOUBLE_EQ(masks.owned_fraction(0), 1.0);   // owns everything it sees
-  EXPECT_NEAR(masks.owned_fraction(1), 0.5, 0.01);  // only its exclusive half
-}
-
 TEST(PowerWeightedMasks, ProportionalSplit) {
   const std::vector<gpu::DeviceProfile> cams = {gpu::jetson_xavier(),
                                                 gpu::jetson_nano()};
   const CameraMasks masks = build_power_weighted_masks(
       dims(), 10, half_overlap_coverage(), mirror_region_key(), cams);
-  // Xavier's power share is ~86%; its overlap ownership must exceed Nano's.
-  const double xavier_share = masks.owned_fraction(0);
-  const double nano_share = masks.owned_fraction(1);
-  EXPECT_GT(xavier_share, 0.85);  // exclusive 0.5 + most of the overlap
-  EXPECT_LT(nano_share, 0.75);
-  EXPECT_GT(nano_share, 0.5);  // still owns its exclusive half
+  // Xavier's power share is ~86%: it must own most of the 100 overlap
+  // cells, and Nano a minority of them (plus all of its exclusive half).
+  int xavier_cells = 0, nano_cells = 0;
+  for (double x = 105.0; x < 200.0; x += 10.0) {
+    for (double y = 5.0; y < 100.0; y += 10.0) {
+      xavier_cells += masks.owns(0, {x, y});        // overlap on cam 0
+      nano_cells += masks.owns(1, {x - 100.0, y});  // same cell on cam 1
+    }
+  }
+  EXPECT_GT(xavier_cells, 70);
+  EXPECT_LT(nano_cells, 50);
+  EXPECT_GT(nano_cells, 0);
+  EXPECT_TRUE(masks.owns(1, {150, 50}));  // exclusive half
 }
 
 TEST(PowerWeightedMasks, ConsistentAcrossCameras) {

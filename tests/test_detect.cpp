@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "detect/simulated_detector.hpp"
 #include "util/rng.hpp"
 
@@ -11,6 +13,12 @@ GroundTruthObject make_object(std::uint64_t id, geom::BBox box) {
   obj.id = id;
   obj.box = box;
   return obj;
+}
+
+long count_truth(const std::vector<Detection>& dets, std::uint64_t truth) {
+  return std::count_if(dets.begin(), dets.end(), [truth](const Detection& d) {
+    return d.truth_id == truth;
+  });
 }
 
 TEST(SimulatedDetector, DetectsLargeObjectsReliably) {
@@ -58,19 +66,15 @@ TEST(SimulatedDetector, RoiGatesByCoverage) {
   util::Rng rng(4);
   const auto obj = make_object(1, {100, 100, 40, 40});
   // ROI far away: never detected.
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto dets =
-        detector.detect_roi({obj}, {500, 500, 128, 128}, 128, rng);
-    for (const Detection& d : dets) EXPECT_NE(d.truth_id, 1u);
-  }
+  std::vector<Detection> far;
+  for (int trial = 0; trial < 50; ++trial)
+    detector.detect_roi_append({obj}, {500, 500, 128, 128}, 128, rng, far);
+  EXPECT_EQ(count_truth(far, 1), 0);
   // ROI covering the object: detected almost always.
-  int hits = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto dets = detector.detect_roi({obj}, {80, 80, 128, 128}, 128, rng);
-    for (const Detection& d : dets)
-      if (d.truth_id == 1) ++hits;
-  }
-  EXPECT_GE(hits, 180);
+  std::vector<Detection> covering;
+  for (int trial = 0; trial < 200; ++trial)
+    detector.detect_roi_append({obj}, {80, 80, 128, 128}, 128, rng, covering);
+  EXPECT_GE(count_truth(covering, 1), 180);
 }
 
 TEST(SimulatedDetector, DownsamplingHurtsRecall) {
@@ -78,14 +82,12 @@ TEST(SimulatedDetector, DownsamplingHurtsRecall) {
   util::Rng rng(5);
   const auto obj = make_object(1, {120, 120, 24, 24});
   const geom::BBox roi{64, 64, 512, 512};
-  int native = 0, downsampled = 0;
+  std::vector<Detection> native, downsampled;
   for (int trial = 0; trial < 300; ++trial) {
-    for (const Detection& d : detector.detect_roi({obj}, roi, 512, rng))
-      if (d.truth_id == 1) ++native;
-    for (const Detection& d : detector.detect_roi({obj}, roi, 64, rng))
-      if (d.truth_id == 1) ++downsampled;
+    detector.detect_roi_append({obj}, roi, 512, rng, native);
+    detector.detect_roi_append({obj}, roi, 64, rng, downsampled);
   }
-  EXPECT_GT(native, downsampled + 30);
+  EXPECT_GT(count_truth(native, 1), count_truth(downsampled, 1) + 30);
 }
 
 TEST(SimulatedDetector, DeterministicGivenSeed) {
@@ -117,18 +119,15 @@ TEST(SimulatedDetector, TruncatedObjectsMissedMore) {
   SimulatedDetector detector;
   util::Rng rng(7);
   const auto obj = make_object(1, {100, 100, 40, 40});
-  int full_cov = 0, truncated = 0;
+  std::vector<Detection> full_cov, truncated;
   for (int trial = 0; trial < 300; ++trial) {
     // ROI fully covers the object.
-    for (const Detection& d :
-         detector.detect_roi({obj}, {80, 80, 128, 128}, 128, rng))
-      if (d.truth_id == 1) ++full_cov;
+    detector.detect_roi_append({obj}, {80, 80, 128, 128}, 128, rng, full_cov);
     // ROI covers ~55% of the object (just above the gate).
-    for (const Detection& d :
-         detector.detect_roi({obj}, {118, 100, 128, 128}, 128, rng))
-      if (d.truth_id == 1) ++truncated;
+    detector.detect_roi_append({obj}, {118, 100, 128, 128}, 128, rng,
+                               truncated);
   }
-  EXPECT_GT(full_cov, truncated);
+  EXPECT_GT(count_truth(full_cov, 1), count_truth(truncated, 1));
 }
 
 }  // namespace

@@ -148,7 +148,8 @@ TEST(Occlusion, CloserObjectHides) {
       gt(1, {100, 100, 50, 50}, 10.0),   // closer, big
       gt(2, {110, 110, 30, 30}, 30.0),   // fully inside 1's box, farther
   };
-  const auto visible = sim::apply_occlusion(objs, {0.6, true});
+  std::vector<detect::GroundTruthObject> visible = objs;
+  sim::apply_occlusion_inplace(visible, {0.6, true});
   ASSERT_EQ(visible.size(), 1u);
   EXPECT_EQ(visible[0].id, 1u);
   const auto events = sim::occlusion_events(objs, {0.6, true});
@@ -163,7 +164,8 @@ TEST(Occlusion, FartherObjectCannotOcclude) {
       gt(1, {100, 100, 50, 50}, 40.0),
       gt(2, {110, 110, 30, 30}, 10.0),  // closer small object, not hidden
   };
-  const auto visible = sim::apply_occlusion(objs, {0.6, true});
+  std::vector<detect::GroundTruthObject> visible = objs;
+  sim::apply_occlusion_inplace(visible, {0.6, true});
   EXPECT_EQ(visible.size(), 2u);
 }
 
@@ -172,13 +174,17 @@ TEST(Occlusion, PartialOverlapBelowThresholdKept) {
       gt(1, {100, 100, 50, 50}, 10.0),
       gt(2, {140, 140, 50, 50}, 30.0),  // ~4% covered
   };
-  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, true}).size(), 2u);
+  std::vector<detect::GroundTruthObject> visible = objs;
+  sim::apply_occlusion_inplace(visible, {0.6, true});
+  EXPECT_EQ(visible.size(), 2u);
 }
 
 TEST(Occlusion, DisabledIsIdentity) {
   const std::vector<detect::GroundTruthObject> objs = {
       gt(1, {100, 100, 50, 50}, 10.0), gt(2, {110, 110, 30, 30}, 30.0)};
-  EXPECT_EQ(sim::apply_occlusion(objs, {0.6, false}).size(), 2u);
+  std::vector<detect::GroundTruthObject> visible = objs;
+  sim::apply_occlusion_inplace(visible, {0.6, false});
+  EXPECT_EQ(visible.size(), 2u);
 }
 
 TEST(ViewSelection, SingleCameraCoversAll) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <random>
 
 #include "fleet/fleet.hpp"
@@ -70,7 +71,8 @@ TEST(Arbiter, LoneSubmissionMatchesPlanBatchesBitExactly) {
   GpuArbiter arbiter;
   arbiter.begin_tick();
   arbiter.submit(0, 0, nano, work(tasks));
-  const TickPlan plan = arbiter.plan_tick();
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
 
   ASSERT_EQ(plan.shares.size(), 1u);
   EXPECT_EQ(plan.shares[0].session, 0);
@@ -103,14 +105,17 @@ TEST(Arbiter, LoneSubmissionExactWithManyBatchesPerClass) {
     GpuArbiter arbiter;
     arbiter.begin_tick();
     arbiter.submit(0, 0, nano, work(tasks));
-    const TickPlan plan = arbiter.plan_tick();
+    TickPlan plan;
+    arbiter.plan_tick_into({}, plan);
     EXPECT_EQ(plan.shares[0].attributed_ms, solo.actual_latency_ms) << trial;
     EXPECT_EQ(plan.shares[0].queue_ms, 0.0) << trial;
     // With a dispatch overhead every batch costs overhead + latency; the
     // lone schedule still chains exactly as the charge accumulates.
     TickContext ctx;
     ctx.dispatch_overhead_ms = 0.37;
-    EXPECT_EQ(arbiter.plan_tick(ctx).shares[0].queue_ms, 0.0) << trial;
+    TickPlan overhead_plan;
+    arbiter.plan_tick_into(ctx, overhead_plan);
+    EXPECT_EQ(overhead_plan.shares[0].queue_ms, 0.0) << trial;
   }
 }
 
@@ -120,7 +125,8 @@ TEST(Arbiter, FullFrameChargedExclusively) {
   arbiter.begin_tick();
   arbiter.submit(0, 0, nano, work({}, /*full=*/true));
   arbiter.submit(1, 0, nano, work({}, /*full=*/true));
-  const TickPlan plan = arbiter.plan_tick();
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
   ASSERT_EQ(plan.shares.size(), 2u);
   // Full frames never merge: each session pays its own device's full cost,
   // and no partial-frame batches exist on either side.
@@ -141,7 +147,8 @@ TEST(Arbiter, CrossSessionMergeSavesBatchesAndLatency) {
   arbiter.begin_tick();
   arbiter.submit(0, 0, nano, work({2}));
   arbiter.submit(1, 0, nano, work({2}));
-  const TickPlan plan = arbiter.plan_tick();
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
 
   EXPECT_EQ(plan.shared_batches, 1);
   EXPECT_EQ(plan.isolated_batches, 2);
@@ -164,7 +171,8 @@ TEST(Arbiter, DifferentDeviceClassesNeverMerge) {
   arbiter.begin_tick();
   arbiter.submit(0, 0, nano, work({1, 1}));
   arbiter.submit(1, 0, xavier, work({1, 1}));
-  const TickPlan plan = arbiter.plan_tick();
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
   // One batch per device class either way: pooling only amortizes within a
   // class, so shared and isolated plans coincide.
   EXPECT_EQ(plan.shared_batches, plan.isolated_batches);
@@ -182,7 +190,8 @@ TEST(Arbiter, AttributionConservesTotalBusyTime) {
   arbiter.submit(0, 1, xavier, work({3, 3, 3}));
   arbiter.submit(1, 0, nano, work({0, 1, 1}));
   arbiter.submit(2, 0, xavier, work({3}, /*full=*/true));
-  const TickPlan plan = arbiter.plan_tick();
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
 
   double attributed = 0.0;
   for (const Attribution& a : plan.shares) attributed += a.attributed_ms;
@@ -199,7 +208,9 @@ TEST(Arbiter, BeginTickDiscardsPreviousSubmissions) {
   EXPECT_EQ(arbiter.submission_count(), 1u);
   arbiter.begin_tick();
   EXPECT_EQ(arbiter.submission_count(), 0u);
-  EXPECT_TRUE(arbiter.plan_tick().shares.empty());
+  TickPlan plan;
+  arbiter.plan_tick_into({}, plan);
+  EXPECT_TRUE(plan.shares.empty());
 }
 
 // --------------------------------------------------- elastic device pools --
@@ -215,7 +226,8 @@ TEST(Arbiter, DevicePoolDrainsQueueingDelay) {
   arbiter.submit(0, 0, nano, work({0}));
   arbiter.submit(1, 0, nano, work({2}));
 
-  const TickPlan serial_plan = arbiter.plan_tick();
+  TickPlan serial_plan;
+  arbiter.plan_tick_into({}, serial_plan);
   const double lat0 = nano.actual_batch_latency_ms(0, 1);
   ASSERT_EQ(serial_plan.shares.size(), 2u);
   EXPECT_DOUBLE_EQ(serial_plan.shares[0].queue_ms, 0.0);
@@ -224,7 +236,8 @@ TEST(Arbiter, DevicePoolDrainsQueueingDelay) {
 
   arbiter.set_device_count(nano.name(), 2);
   EXPECT_EQ(arbiter.device_count(nano.name()), 2);
-  const TickPlan pooled_plan = arbiter.plan_tick();
+  TickPlan pooled_plan;
+  arbiter.plan_tick_into({}, pooled_plan);
   EXPECT_DOUBLE_EQ(pooled_plan.shares[0].queue_ms, 0.0);
   EXPECT_DOUBLE_EQ(pooled_plan.shares[1].queue_ms, 0.0);
   EXPECT_DOUBLE_EQ(pooled_plan.queue_ms_total, 0.0);
@@ -241,7 +254,8 @@ TEST(Arbiter, LoneSubmissionHasZeroQueueOnAnyPoolSize) {
     arbiter.set_device_count(nano.name(), devices);
     arbiter.begin_tick();
     arbiter.submit(0, 0, nano, work({0, 1, 2, 2, 3}, /*full=*/true));
-    const TickPlan plan = arbiter.plan_tick();
+    TickPlan plan;
+    arbiter.plan_tick_into({}, plan);
     // Exactly zero, not approximately: the fleet-of-one identity requires
     // the lone schedule to accumulate in attribution order.
     EXPECT_DOUBLE_EQ(plan.shares[0].queue_ms, 0.0) << devices;
@@ -288,7 +302,8 @@ TEST(Arbiter, SplitShedsLowestWeightAndConservesBusy) {
   TickContext ctx;
   ctx.allow_split = true;
   ctx.slo_ms = 0.25 * nano.actual_batch_latency_ms(2, 2);  // force a miss
-  const TickPlan plan = arbiter.plan_tick(ctx);
+  TickPlan plan;
+  arbiter.plan_tick_into(ctx, plan);
 
   EXPECT_EQ(plan.splits, 1);
   ASSERT_EQ(plan.deferred.size(), 1u);
@@ -304,10 +319,13 @@ TEST(Arbiter, SplitShedsLowestWeightAndConservesBusy) {
   EXPECT_NEAR(attributed, plan.shared_busy_ms, 1e-9);
 
   // Without permission (or without an SLO) the same submissions never split.
-  EXPECT_EQ(arbiter.plan_tick().splits, 0);
+  TickPlan replan;
+  arbiter.plan_tick_into({}, replan);
+  EXPECT_EQ(replan.splits, 0);
   TickContext no_split = ctx;
   no_split.allow_split = false;
-  EXPECT_EQ(arbiter.plan_tick(no_split).splits, 0);
+  arbiter.plan_tick_into(no_split, replan);
+  EXPECT_EQ(replan.splits, 0);
 }
 
 TEST(Arbiter, SplitAttributionConservesAcrossRandomSeeds) {
@@ -341,7 +359,8 @@ TEST(Arbiter, SplitAttributionConservesAcrossRandomSeeds) {
     TickContext ctx;
     ctx.allow_split = true;
     ctx.slo_ms = 0.5;  // tight enough to trigger splits on busy seeds
-    const TickPlan plan = arbiter.plan_tick(ctx);
+    TickPlan plan;
+    arbiter.plan_tick_into(ctx, plan);
 
     double attributed = 0.0;
     for (const Attribution& a : plan.shares) attributed += a.attributed_ms;
@@ -367,7 +386,8 @@ TEST(Arbiter, SplitAttributionConservesAcrossRandomSeeds) {
                        slice.camera == 0 ? nano : xavier,
                        work(std::move(tasks)));
       }
-      const TickPlan follow_up = arbiter.plan_tick();  // no further splitting
+      TickPlan follow_up;
+      arbiter.plan_tick_into({}, follow_up);  // no further splitting
       EXPECT_EQ(follow_up.splits, 0);
       EXPECT_GT(follow_up.shared_busy_ms, 0.0);
       double follow_attributed = 0.0;
@@ -440,6 +460,41 @@ TEST(FleetTickWheel, NegativeFpsIsRejected) {
   EXPECT_EQ(fleet.snapshot().rejected, 1);
 }
 
+TEST(FleetTickWheel, RateThatOverflowsTheWheelIsRejected) {
+  // lcm(10, 997, 991) = 9'880'270; adding 983 would need 9'712'305'410
+  // ticks per second, past INT_MAX: the admission must fail loudly and
+  // leave the wheel (and every established period) untouched.
+  Fleet fleet;
+  runtime::TraceRecorder trace;
+  fleet.attach_trace(&trace);
+  for (const int fps : {997, 991}) {
+    SessionSpec ok = spec("prime", 5);
+    ok.synthetic = true;
+    ok.fps = fps;
+    ASSERT_TRUE(fleet.admit(ok).admitted) << fps;
+  }
+  EXPECT_EQ(fleet.wheel_hz(), 9880270);
+
+  SessionSpec bad = spec("overflow", 6);
+  bad.synthetic = true;
+  bad.fps = 983;
+  const AdmitResult result = fleet.admit(bad);
+  EXPECT_FALSE(result.admitted);
+  EXPECT_FALSE(result.reason.empty());
+  EXPECT_EQ(fleet.wheel_hz(), 9880270);
+  EXPECT_EQ(fleet.snapshot().rejected, 1);
+  EXPECT_EQ(trace.count(runtime::TraceEventType::kSessionReject), 1u);
+
+  // A rate that divides the wheel still fits and fires at its own rate.
+  SessionSpec ten = spec("ten", 7);
+  ten.synthetic = true;
+  ten.fps = 10;
+  ASSERT_TRUE(fleet.admit(ten).admitted);
+  EXPECT_EQ(fleet.wheel_hz(), 9880270);
+  fleet.run(9880270 / 10);  // one tenth of a second
+  EXPECT_EQ(fleet.snapshot().sessions.at(2).frames, 1);
+}
+
 // ----------------------------------------------------- session config API --
 
 TEST(FleetSessionApi, PerSessionFaultsImplyLossyTransport) {
@@ -460,6 +515,37 @@ TEST(FleetSessionApi, PerSessionFaultsImplyLossyTransport) {
   ASSERT_EQ(result.frames.size(), 3u);
   for (const runtime::FrameStats& f : result.frames)
     EXPECT_EQ(f.cameras_online, 1);  // S2 has 2 cameras; one is down
+}
+
+TEST(FleetSessionApi, TransportTotalsDoNotDependOnHistory) {
+  // The snapshot's retries and dropped messages are run totals: a lossy
+  // session reports the same numbers whether its pipeline keeps the frame
+  // history or not (the documented serving mode), live and after eviction.
+  std::vector<SessionSnapshot> live, evicted;
+  for (const bool keep_history : {true, false}) {
+    Fleet fleet;
+    SessionSpec s = spec("lossy", 5);
+    s.pipeline.keep_history = keep_history;
+    netsim::FaultConfig faults;
+    faults.loss_rate = 0.3;
+    faults.max_retries = 1;
+    s.faults = faults;
+    const AdmitResult admitted = fleet.admit(s);
+    ASSERT_TRUE(admitted.admitted);
+    fleet.run(40);
+    live.push_back(fleet.snapshot().sessions.at(0));
+    ASSERT_EQ(fleet.evict(admitted.handle), FleetStatus::kOk);
+    evicted.push_back(fleet.snapshot().sessions.at(0));
+  }
+  EXPECT_GT(live[0].retries, 0);
+  EXPECT_GT(live[0].dropped_msgs, 0);
+  for (const std::vector<SessionSnapshot>* snaps : {&live, &evicted}) {
+    EXPECT_EQ((*snaps)[0].retries, (*snaps)[1].retries);
+    EXPECT_EQ((*snaps)[0].dropped_msgs, (*snaps)[1].dropped_msgs);
+    EXPECT_EQ((*snaps)[0].retries, live[0].retries);
+    EXPECT_EQ((*snaps)[0].dropped_msgs, live[0].dropped_msgs);
+    EXPECT_DOUBLE_EQ((*snaps)[0].object_recall, (*snaps)[1].object_recall);
+  }
 }
 
 TEST(FleetSessionApi, PerSessionSloOverridesViolationAccounting) {
@@ -1051,8 +1137,11 @@ TEST(FleetRollups, FleetOfOnePercentilesWithinOneBucketOfExact) {
   const FleetSnapshot snap = fleet.snapshot();
   ASSERT_EQ(snap.sessions.size(), 1u);
   const SessionSnapshot& s = snap.sessions[0];
-  EXPECT_DOUBLE_EQ(s.mean_ms, exact.mean());
-  EXPECT_DOUBLE_EQ(s.mean_isolated_ms, exact.mean());
+  const double exact_mean =
+      std::accumulate(exact.samples().begin(), exact.samples().end(), 0.0) /
+      static_cast<double>(exact.count());
+  EXPECT_DOUBLE_EQ(s.mean_ms, exact_mean);
+  EXPECT_DOUBLE_EQ(s.mean_isolated_ms, exact_mean);
   EXPECT_DOUBLE_EQ(s.mean_queue_ms, 0.0);
   for (const auto& [p, estimate] :
        {std::pair{50.0, s.p50_ms}, {95.0, s.p95_ms}, {99.0, s.p99_ms}}) {

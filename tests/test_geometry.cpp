@@ -143,12 +143,6 @@ TEST(SizeClassSet, ExpandToClassKeepsCenter) {
   EXPECT_GE(e.h, 128.0);
 }
 
-TEST(SizeClassSet, CustomSizesSorted) {
-  const SizeClassSet s({256, 64});
-  EXPECT_EQ(s.size_of(0), 64);
-  EXPECT_EQ(s.size_of(1), 256);
-}
-
 TEST(Grid, Dimensions) {
   const Grid g(1280, 704, 64);
   EXPECT_EQ(g.cols(), 20);
@@ -174,26 +168,6 @@ TEST(Grid, FlatIndexRowMajor) {
   const Grid g(100, 100, 10);
   EXPECT_EQ(g.flat({0, 0}), 0u);
   EXPECT_EQ(g.flat({3, 2}), 23u);
-}
-
-TEST(Grid, CellsOverlappingBox) {
-  const Grid g(100, 100, 10);
-  const auto cells = g.cells_overlapping(BBox{5, 5, 20, 10});
-  // Spans columns 0..2 and rows 0..1 -> 6 cells.
-  EXPECT_EQ(cells.size(), 6u);
-}
-
-TEST(Grid, CellsOverlappingBoundaryExclusive) {
-  const Grid g(100, 100, 10);
-  // Box ending exactly at x=20 must not claim column 2.
-  const auto cells = g.cells_overlapping(BBox{10, 10, 10, 10});
-  EXPECT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].col, 1);
-}
-
-TEST(Grid, CellsOverlappingOutsideIsEmpty) {
-  const Grid g(100, 100, 10);
-  EXPECT_TRUE(g.cells_overlapping(BBox{200, 200, 10, 10}).empty());
 }
 
 TEST(Vec2, Arithmetic) {

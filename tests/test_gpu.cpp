@@ -122,20 +122,5 @@ INSTANTIATE_TEST_SUITE_P(Counts, BatchCount,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 15, 16, 17, 31,
                                            32, 33, 100));
 
-TEST(MarginalLatency, ZeroWithOpenBatch) {
-  const DeviceProfile d = jetson_tx2();
-  // One image of size 0 batched: limit 16 -> open batch, marginal cost 0.
-  EXPECT_DOUBLE_EQ(marginal_latency_ms({1, 0, 0, 0}, 0, d), 0.0);
-}
-
-TEST(MarginalLatency, FullCostWhenBatchFullOrEmpty) {
-  const DeviceProfile d = jetson_tx2();
-  EXPECT_DOUBLE_EQ(marginal_latency_ms({0, 0, 0, 0}, 0, d),
-                   d.batch_latency_ms(0));
-  EXPECT_DOUBLE_EQ(marginal_latency_ms({16, 0, 0, 0}, 0, d),
-                   d.batch_latency_ms(0));
-  EXPECT_DOUBLE_EQ(marginal_latency_ms({15, 0, 0, 0}, 0, d), 0.0);
-}
-
 }  // namespace
 }  // namespace mvs::gpu

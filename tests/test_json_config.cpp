@@ -517,12 +517,6 @@ TEST(RtRunConfig, UnknownKeyAndBadValuesAreHardErrors) {
 }
 
 TEST(RtRunConfig, LatePolicyNames) {
-  EXPECT_EQ(runtime::parse_late_policy("drop"), runtime::LatePolicy::kDrop);
-  EXPECT_EQ(runtime::parse_late_policy("Supersede"),
-            runtime::LatePolicy::kSupersede);
-  EXPECT_EQ(runtime::parse_late_policy("finish-late"),
-            runtime::LatePolicy::kFinishLate);
-  EXPECT_FALSE(runtime::parse_late_policy("never").has_value());
   EXPECT_STREQ(runtime::to_string(runtime::LatePolicy::kDrop), "drop");
   EXPECT_STREQ(runtime::to_string(runtime::LatePolicy::kSupersede),
                "supersede");
@@ -746,9 +740,6 @@ TEST(ConfigSchema, BoolFlagsApplyOnlyWhenPresent) {
                                          &error));
   EXPECT_TRUE(run->pipeline.verbose);
   EXPECT_TRUE(run->pipeline.paired_rng);
-  ASSERT_TRUE(runtime::apply_schema_flag(&*run, "no-tile-flow", "", &section,
-                                         &error));
-  EXPECT_FALSE(run->pipeline.tile_flow);
   EXPECT_FALSE(runtime::apply_schema_flag(&*run, "verbose", "false",
                                           &section, &error));
   EXPECT_FALSE(runtime::apply_schema_flag(&*run, "slo-ms", "5", &section,

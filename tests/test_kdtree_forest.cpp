@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "metrics/mot.hpp"
 #include "ml/kdtree.hpp"
 #include "ml/knn.hpp"
 #include "ml/random_forest.hpp"
@@ -131,52 +130,6 @@ TEST(RandomForest, DecisionSignMatchesPredict) {
   for (int i = 0; i < 20; ++i)
     EXPECT_EQ(forest.predict(xs[static_cast<std::size_t>(i)]),
               forest.decision(xs[static_cast<std::size_t>(i)]) > 0.0);
-}
-
-TEST(Mot, PerfectTrackingIsMotaOne) {
-  metrics::MotAccumulator mot;
-  for (int f = 0; f < 10; ++f)
-    mot.add_frame({{1, 100}, {2, 200}}, 0, 0);
-  EXPECT_DOUBLE_EQ(mot.mota(), 1.0);
-  EXPECT_EQ(mot.id_switches(), 0u);
-  EXPECT_EQ(mot.fragmentations(), 0u);
-  EXPECT_DOUBLE_EQ(mot.identity_consistency(), 1.0);
-}
-
-TEST(Mot, CountsMissesAndFalsePositives) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 1, 2);  // 1 match, 1 miss, 2 FP tracks
-  EXPECT_EQ(mot.matches(), 1u);
-  EXPECT_EQ(mot.misses(), 1u);
-  EXPECT_EQ(mot.false_positives(), 2u);
-  // MOTA = 1 - (1 + 2 + 0) / 2 = -0.5.
-  EXPECT_DOUBLE_EQ(mot.mota(), -0.5);
-}
-
-TEST(Mot, DetectsIdSwitch) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{7, 100}}, 0, 0);  // same object, new track id
-  EXPECT_EQ(mot.id_switches(), 1u);
-  EXPECT_EQ(mot.fragmentations(), 1u);
-  // 2 of 3 observations carry the dominant id.
-  EXPECT_NEAR(mot.identity_consistency(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Mot, SwitchBackCountsTwiceButFragmentsOnce) {
-  metrics::MotAccumulator mot;
-  mot.add_frame({{1, 100}}, 0, 0);
-  mot.add_frame({{2, 100}}, 0, 0);
-  mot.add_frame({{1, 100}}, 0, 0);
-  EXPECT_EQ(mot.id_switches(), 2u);
-  EXPECT_EQ(mot.fragmentations(), 1u);  // two distinct pairings total
-}
-
-TEST(Mot, EmptyIsPerfect) {
-  metrics::MotAccumulator mot;
-  EXPECT_DOUBLE_EQ(mot.mota(), 1.0);
-  EXPECT_DOUBLE_EQ(mot.identity_consistency(), 1.0);
 }
 
 }  // namespace

@@ -52,20 +52,6 @@ TEST(Matrix, MultiplyByIdentity) {
   EXPECT_DOUBLE_EQ(c(1, 1), 4.0);
 }
 
-TEST(Matrix, AddSubScale) {
-  const Matrix a{{1, 2}, {3, 4}};
-  const Matrix sum = a + a;
-  EXPECT_DOUBLE_EQ(sum(1, 1), 8.0);
-  const Matrix zero = a - a;
-  EXPECT_DOUBLE_EQ(zero.norm(), 0.0);
-  EXPECT_DOUBLE_EQ(a.scaled(2.0)(0, 1), 4.0);
-}
-
-TEST(Matrix, FrobeniusNorm) {
-  const Matrix m{{3, 4}};
-  EXPECT_DOUBLE_EQ(m.norm(), 5.0);
-}
-
 TEST(Solve, TwoByTwo) {
   const Matrix a{{2, 1}, {1, 3}};
   const auto x = solve(a, {5, 10});

@@ -106,7 +106,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HungarianVsGreedy, ::testing::Range(0, 20));
 TEST(BoxMatcher, MatchesByIou) {
   const std::vector<geom::BBox> a = {{0, 0, 10, 10}, {100, 100, 10, 10}};
   const std::vector<geom::BBox> b = {{101, 101, 10, 10}, {1, 1, 10, 10}};
-  const auto res = match_boxes(a, b, 0.1);
+  BoxMatchScratch scratch;
+  BoxMatchResult res;
+  match_boxes_into(a, b, 0.1, scratch, res);
   ASSERT_EQ(res.matches.size(), 2u);
   // a0 matches b1, a1 matches b0.
   for (const BoxMatch& match : res.matches) {
@@ -123,7 +125,9 @@ TEST(BoxMatcher, MatchesByIou) {
 TEST(BoxMatcher, ThresholdExcludesWeakOverlap) {
   const std::vector<geom::BBox> a = {{0, 0, 10, 10}};
   const std::vector<geom::BBox> b = {{9, 9, 10, 10}};  // IoU ~ 0.005
-  const auto res = match_boxes(a, b, 0.3);
+  BoxMatchScratch scratch;
+  BoxMatchResult res;
+  match_boxes_into(a, b, 0.3, scratch, res);
   EXPECT_TRUE(res.matches.empty());
   EXPECT_EQ(res.unmatched_a.size(), 1u);
   EXPECT_EQ(res.unmatched_b.size(), 1u);
@@ -133,13 +137,17 @@ TEST(BoxMatcher, PrefersHigherIouGlobally) {
   // One detection between two tracks: must go to the closer one.
   const std::vector<geom::BBox> tracks = {{0, 0, 10, 10}, {4, 0, 10, 10}};
   const std::vector<geom::BBox> dets = {{3.5, 0, 10, 10}};
-  const auto res = match_boxes(tracks, dets, 0.1);
+  BoxMatchScratch scratch;
+  BoxMatchResult res;
+  match_boxes_into(tracks, dets, 0.1, scratch, res);
   ASSERT_EQ(res.matches.size(), 1u);
   EXPECT_EQ(res.matches[0].a, 1);
 }
 
 TEST(BoxMatcher, EmptyInputs) {
-  const auto res = match_boxes({}, {{0, 0, 1, 1}}, 0.1);
+  BoxMatchScratch scratch;
+  BoxMatchResult res;
+  match_boxes_into({}, {{0, 0, 1, 1}}, 0.1, scratch, res);
   EXPECT_TRUE(res.matches.empty());
   EXPECT_EQ(res.unmatched_b.size(), 1u);
 }

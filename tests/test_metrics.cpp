@@ -90,14 +90,5 @@ TEST(ObjectRecall, AggregatesAcrossFrames) {
   EXPECT_DOUBLE_EQ(recall.recall(), 0.5);
 }
 
-TEST(SlowestCameraLatency, TakesMaxPerFrame) {
-  SlowestCameraLatency lat;
-  lat.add_frame({10.0, 30.0, 20.0});
-  lat.add_frame({50.0, 5.0});
-  EXPECT_DOUBLE_EQ(lat.mean_ms(), 40.0);
-  EXPECT_DOUBLE_EQ(lat.max_ms(), 50.0);
-  EXPECT_EQ(lat.frames(), 2u);
-}
-
 }  // namespace
 }  // namespace mvs::metrics

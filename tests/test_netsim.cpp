@@ -227,13 +227,6 @@ TEST(IdealTransport, EveryCameraIsAlwaysOnline) {
   EXPECT_TRUE(t.camera_online(1, 100000));
 }
 
-TEST(TransportKind, ParsesNamesCaseInsensitively) {
-  EXPECT_EQ(net::parse_transport("ideal"), net::TransportKind::kIdeal);
-  EXPECT_EQ(net::parse_transport("Lossy"), net::TransportKind::kLossy);
-  EXPECT_EQ(net::parse_transport("NETSIM"), net::TransportKind::kLossy);
-  EXPECT_FALSE(net::parse_transport("carrier-pigeon").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Pipeline integration — dropout/rejoin and run-level determinism
 

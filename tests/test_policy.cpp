@@ -43,21 +43,6 @@ policy::PolicyConfig heuristic_config() {
   return cfg;
 }
 
-// ------------------------------------------------------------ kind parsing --
-
-TEST(PolicyKind, ParseAndToStringRoundTrip) {
-  for (const auto kind :
-       {policy::PolicyKind::kFixed, policy::PolicyKind::kHeuristic,
-        policy::PolicyKind::kLearned}) {
-    const auto parsed = policy::parse_policy_kind(policy::to_string(kind));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, kind);
-  }
-  EXPECT_TRUE(policy::parse_policy_kind("HEURISTIC").has_value());
-  EXPECT_FALSE(policy::parse_policy_kind("bogus").has_value());
-  EXPECT_FALSE(policy::parse_policy_kind("").has_value());
-}
-
 // ------------------------------------------------------------------- fixed --
 
 TEST(FixedPolicy, AlwaysDetects) {

@@ -177,43 +177,34 @@ std::vector<TraceEvent> sorted_events(const TraceRecorder& trace) {
 }
 
 TEST(PipelineBehaviour, DeterministicAcrossThreadCountsAndTiling) {
-  // Same seed at threads=1, threads=8, and threads=8 without flow tiling:
-  // FrameStats and trace streams must be identical. S2 has 2 cameras, so
-  // threads=8 exercises the tiled-flow path (fleet smaller than the pool).
+  // Same seed at threads=1 and threads=8: FrameStats and trace streams
+  // must be identical. S2 has 2 cameras, so threads=8 exercises the
+  // tiled-flow path (fleet smaller than the pool) and threads=1, which
+  // never tiles, is the untiled reference.
   PipelineConfig base = fast_config(Policy::kBalb, 21);
   base.threads = 1;
   PipelineConfig wide = base;
   wide.threads = 8;
-  PipelineConfig wide_untiled = wide;
-  wide_untiled.tile_flow = false;
 
-  TraceRecorder trace_base, trace_wide, trace_untiled;
+  TraceRecorder trace_base, trace_wide;
   Pipeline a("S2", base);
   a.attach_trace(&trace_base);
   Pipeline b("S2", wide);
   b.attach_trace(&trace_wide);
-  Pipeline c("S2", wide_untiled);
-  c.attach_trace(&trace_untiled);
 
   const PipelineResult ra = a.run(30);
   const PipelineResult rb = b.run(30);
-  const PipelineResult rc = c.run(30);
   expect_deterministic_stats_equal(ra, rb);
-  expect_deterministic_stats_equal(ra, rc);
 
   const auto ea = sorted_events(trace_base);
   const auto eb = sorted_events(trace_wide);
-  const auto ec = sorted_events(trace_untiled);
   ASSERT_EQ(ea.size(), eb.size());
-  ASSERT_EQ(ea.size(), ec.size());
   for (std::size_t i = 0; i < ea.size(); ++i) {
-    for (const auto* other : {&eb[i], &ec[i]}) {
-      EXPECT_EQ(ea[i].frame, other->frame);
-      EXPECT_EQ(ea[i].camera, other->camera);
-      EXPECT_EQ(ea[i].type, other->type);
-      EXPECT_EQ(ea[i].object_key, other->object_key);
-      EXPECT_DOUBLE_EQ(ea[i].value, other->value);
-    }
+    EXPECT_EQ(ea[i].frame, eb[i].frame);
+    EXPECT_EQ(ea[i].camera, eb[i].camera);
+    EXPECT_EQ(ea[i].type, eb[i].type);
+    EXPECT_EQ(ea[i].object_key, eb[i].object_key);
+    EXPECT_DOUBLE_EQ(ea[i].value, eb[i].value);
   }
 }
 
@@ -324,8 +315,7 @@ TEST(PipelineBehaviour, GatedCityWithOutageDeterministicAcrossThreadCounts) {
   // Key frames render and rebase flow per camera on the pool, skipping
   // offline cameras and still rendering gated-cold ones. A gated 9-camera
   // city under BALB with one camera offline across two key frames must give
-  // identical FrameStats and trace events at threads 1, 4 and 8, and at 8
-  // without flow tiling.
+  // identical FrameStats and trace events at threads 1, 4 and 8.
   sim::CityConfig cc;
   cc.cameras = 9;
   PipelineConfig base = fast_config(Policy::kBalb, 13);
@@ -336,19 +326,17 @@ TEST(PipelineBehaviour, GatedCityWithOutageDeterministicAcrossThreadCounts) {
   base.faults.dropouts.push_back({4, 8, 23});  // offline on key frames 10, 20
   base.threads = 1;
 
-  const auto run = [&](int threads, bool tile_flow, TraceRecorder& trace) {
+  const auto run = [&](int threads, TraceRecorder& trace) {
     PipelineConfig cfg = base;
     cfg.threads = threads;
-    cfg.tile_flow = tile_flow;
     Pipeline pipeline(sim::city_scenario_name(cc), cfg);
     pipeline.attach_trace(&trace);
     return pipeline.run(40);
   };
-  TraceRecorder trace_one, trace_four, trace_eight, trace_untiled;
-  const PipelineResult one = run(1, true, trace_one);
-  const PipelineResult four = run(4, true, trace_four);
-  const PipelineResult eight = run(8, true, trace_eight);
-  const PipelineResult untiled = run(8, false, trace_untiled);
+  TraceRecorder trace_one, trace_four, trace_eight;
+  const PipelineResult one = run(1, trace_one);
+  const PipelineResult four = run(4, trace_four);
+  const PipelineResult eight = run(8, trace_eight);
 
   // The run covers what the parallel key-frame render has to skip.
   int outage_key_frames = 0, cold_key_cameras = 0;
@@ -362,8 +350,7 @@ TEST(PipelineBehaviour, GatedCityWithOutageDeterministicAcrossThreadCounts) {
 
   const auto events_one = sorted_events(trace_one);
   for (const auto& [result, trace] :
-       {std::pair{&four, &trace_four}, std::pair{&eight, &trace_eight},
-        std::pair{&untiled, &trace_untiled}}) {
+       {std::pair{&four, &trace_four}, std::pair{&eight, &trace_eight}}) {
     expect_deterministic_stats_equal(one, *result);
     const auto events = sorted_events(*trace);
     ASSERT_EQ(events_one.size(), events.size());
@@ -426,12 +413,12 @@ TEST(PipelineBehaviour, HeuristicPolicySkipsDetectionAndSavesGpu) {
 }
 
 TEST(PipelineBehaviour, RunFrameMatchesRunExactly) {
-  // run_frame x N must be bit-identical to run(N), and run() must keep its
-  // delta semantics when mixed with stepwise calls.
+  // run_frame_ref x N must be bit-identical to run(N), and run() must keep
+  // its delta semantics when mixed with stepwise calls.
   Pipeline batch("S2", fast_config(Policy::kBalb, 11));
   Pipeline step("S2", fast_config(Policy::kBalb, 11));
   const PipelineResult rb = batch.run(25);
-  for (int f = 0; f < 25; ++f) step.run_frame();
+  for (int f = 0; f < 25; ++f) step.run_frame_ref();
   expect_deterministic_stats_equal(rb, step.result());
 
   // A subsequent run() only reports its own frames but snapshots accumulate.

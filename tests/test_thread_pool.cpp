@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -12,13 +11,35 @@
 namespace mvs::util {
 namespace {
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++counter; });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
+/// Parks every worker of `pool`: an extra caller thread runs one
+/// parallel_for_each with an index per worker plus its own, each spinning on
+/// a gate, so every worker is stuck inside a tile until release().
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(ThreadPool& pool)
+      : caller_([this, &pool] {
+          pool.parallel_for_each(pool.thread_count() + 1, [this](std::size_t) {
+            parked_.fetch_add(1, std::memory_order_acq_rel);
+            while (!gate_.load(std::memory_order_acquire))
+              std::this_thread::yield();
+          });
+        }) {
+    while (parked_.load(std::memory_order_acquire) <
+           static_cast<int>(pool.thread_count()) + 1)
+      std::this_thread::yield();
+  }
+  ~ParkedWorkers() { release(); }
+
+  void release() {
+    gate_.store(true, std::memory_order_release);
+    if (caller_.joinable()) caller_.join();
+  }
+
+ private:
+  std::atomic<int> parked_{0};
+  std::atomic<bool> gate_{false};
+  std::thread caller_;
+};
 
 TEST(ThreadPool, ParallelForEachCoversEveryIndex) {
   ThreadPool pool(3);
@@ -40,9 +61,9 @@ TEST(ThreadPool, PartitionedStateIsRaceFree) {
   EXPECT_EQ(total, 200L * 10L * 1000L);
 }
 
-TEST(ThreadPool, WaitIdleWithNoTasks) {
+TEST(ThreadPool, ParallelForEachWithNoIndices) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
+  pool.parallel_for_each(0, [](std::size_t) { FAIL(); });  // must not hang
   SUCCEED();
 }
 
@@ -67,14 +88,20 @@ TEST(ThreadPool, ZeroChoosesHardwareConcurrency) {
   EXPECT_GE(pool.thread_count(), 1u);
 }
 
-TEST(ThreadPool, DestructionWithPendingWorkCompletes) {
+TEST(ThreadPool, DestructionWithLateHelpersQueuedCompletes) {
+  // With every worker parked, each call runs all its indices on the caller
+  // and leaves its helpers queued, each holding the call's tile group. The
+  // destructor must drain those late helpers (which claim nothing) and
+  // join without hanging or touching a recycled group.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) pool.submit([&] { ++counter; });
-    pool.wait_idle();
-  }  // destructor joins
-  EXPECT_EQ(counter.load(), 50);
+    ParkedWorkers parked(pool);
+    for (int i = 0; i < 50; ++i)
+      pool.parallel_for_each(4, [&](std::size_t) { ++counter; });
+    parked.release();
+  }  // destructor drains the queued helpers and joins
+  EXPECT_EQ(counter.load(), 50 * 4);
 }
 
 TEST(ThreadPool, ExceptionPropagatesFromParallelForEach) {
@@ -94,46 +121,33 @@ TEST(ThreadPool, ExceptionPropagatesFromParallelForEach) {
   EXPECT_EQ(counter.load(), 8);
 }
 
-TEST(ThreadPool, ExceptionPropagatesFromSubmitViaWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::logic_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::logic_error);
-  pool.wait_idle();  // cleared after the first rethrow
-}
-
-TEST(ThreadPool, RunTilesCoversEveryIndex) {
-  ThreadPool pool(3);
-  std::vector<int> hits(97, 0);
-  pool.run_tiles(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, RunTilesNestedInsideWorkersDoesNotDeadlock) {
+TEST(ThreadPool, NestedInsideWorkersDoesNotDeadlock) {
   // Outer per-camera fan-out with inner per-row tiling: every worker may be
   // busy with an outer task, so inner progress must come from the callers.
   ThreadPool pool(4);
   std::vector<std::vector<int>> hits(6, std::vector<int>(32, 0));
   pool.parallel_for_each(hits.size(), [&](std::size_t outer) {
-    pool.run_tiles(hits[outer].size(),
-                   [&, outer](std::size_t inner) { hits[outer][inner] += 1; });
+    pool.parallel_for_each(hits[outer].size(), [&, outer](std::size_t inner) {
+      hits[outer][inner] += 1;
+    });
   });
   for (const auto& row : hits)
     for (int h : row) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, RunTilesNestedWithSingleWorker) {
+TEST(ThreadPool, NestedWithSingleWorker) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
   pool.parallel_for_each(3, [&](std::size_t) {
-    pool.run_tiles(16, [&](std::size_t) { ++counter; });
+    pool.parallel_for_each(16, [&](std::size_t) { ++counter; });
   });
   EXPECT_EQ(counter.load(), 3 * 16);
 }
 
 TEST(ThreadPool, SharedAcrossConcurrentSessions) {
   // The fleet runtime drives many sessions over ONE pool: each session
-  // issues its own parallel_for_each / run_tiles calls concurrently. Every
-  // call must cover exactly its own indices with no lost updates.
+  // issues its own parallel_for_each calls concurrently. Every call must
+  // cover exactly its own indices with no lost updates.
   ThreadPool pool(4);
   constexpr int kSessions = 6;
   constexpr int kRounds = 25;
@@ -143,17 +157,10 @@ TEST(ThreadPool, SharedAcrossConcurrentSessions) {
   std::vector<std::thread> sessions;
   for (int s = 0; s < kSessions; ++s) {
     sessions.emplace_back([&pool, &slots, s] {
-      for (int round = 0; round < kRounds; ++round) {
-        if (s % 2 == 0) {
-          pool.parallel_for_each(kIndices, [&slots, s](std::size_t i) {
-            slots[static_cast<std::size_t>(s)][i] += 1;
-          });
-        } else {
-          pool.run_tiles(kIndices, [&slots, s](std::size_t i) {
-            slots[static_cast<std::size_t>(s)][i] += 1;
-          });
-        }
-      }
+      for (int round = 0; round < kRounds; ++round)
+        pool.parallel_for_each(kIndices, [&slots, s](std::size_t i) {
+          slots[static_cast<std::size_t>(s)][i] += 1;
+        });
     });
   }
   for (std::thread& t : sessions) t.join();
@@ -189,49 +196,19 @@ TEST(ThreadPool, ConcurrentCallersDoNotObserveEachOthersExceptions) {
   EXPECT_EQ(clean_runs.load(), 50 * 16);
 }
 
-TEST(ThreadPool, ParallelForEachNestedInsidePoolTasks) {
-  // Sessions themselves run as pool tasks in the fleet; their inner
-  // per-camera parallel_for_each must make progress even when every worker
-  // is occupied by an outer session task (caller participation).
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.run_tiles(4, [&](std::size_t) {
-    pool.parallel_for_each(8, [&](std::size_t) { ++counter; });
-  });
-  EXPECT_EQ(counter.load(), 4 * 8);
-}
-
-TEST(ThreadPool, RunTilesPropagatesException) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.run_tiles(24,
-                              [&](std::size_t i) {
-                                ++ran;
-                                if (i == 7) throw std::runtime_error("tile 7");
-                              }),
-               std::runtime_error);
-  EXPECT_EQ(ran.load(), 24);  // all tiles were still claimed and ran
-  pool.wait_idle();           // tile errors never leak into the pool state
-}
-
-TEST(ThreadPool, RunTilesRunsInlineWhenEveryTileGroupIsHeld) {
+TEST(ThreadPool, RunsInlineWhenEveryTileGroupIsHeld) {
   // The only worker is parked, so every call's queued helper keeps its tile
   // group. Once all parked groups are held (256), later calls run their
   // tiles inline on the caller: every tile still runs exactly once and a
   // throwing tile still surfaces after its siblings ran.
   ThreadPool pool(1);
-  std::atomic<bool> started{false}, gate{false};
-  pool.submit([&] {
-    started.store(true, std::memory_order_release);
-    while (!gate.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  ParkedWorkers parked(pool);
 
   std::vector<int> hits(4, 0);
   for (int k = 0; k < 300; ++k)
-    pool.run_tiles(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
+    pool.parallel_for_each(hits.size(), [&hits](std::size_t i) { ++hits[i]; });
   int ran = 0;
-  EXPECT_THROW(pool.run_tiles(3,
+  EXPECT_THROW(pool.parallel_for_each(3,
                               [&ran](std::size_t i) {
                                 ++ran;
                                 if (i == 1) throw std::runtime_error("tile 1");
@@ -239,96 +216,80 @@ TEST(ThreadPool, RunTilesRunsInlineWhenEveryTileGroupIsHeld) {
                std::runtime_error);
   EXPECT_EQ(ran, 3);
 
-  gate.store(true, std::memory_order_release);
-  pool.wait_idle();
+  parked.release();
   for (int h : hits) EXPECT_EQ(h, 300);
 }
 
 // ------------------------------------------------- contention stress tests --
-// These hammer the bounded MPMC ring well past its capacity (1024 slots)
-// from more producers than consumers, so the full-queue backpressure path
-// (spin + eventcount park) and the CAS retry loops all execute. They are
-// part of the regular suite and also the payload of the tsan_spotcheck
-// target (see tests/CMakeLists.txt).
+// These hammer the pool from more callers than workers, with nesting and
+// throwing indices, so the helper ring, the tile-group recycling and the
+// eventcount park all run under contention. They are part of the regular
+// suite and also the payload of the tsan_spotcheck target (see
+// tests/CMakeLists.txt).
 
-TEST(ThreadPoolStress, MoreProducersThanConsumersLoseNoTasks) {
-  ThreadPool pool(2);  // 2 consumers
-  constexpr int kProducers = 8;
-  constexpr int kPerProducer = 5000;  // 40k tasks >> 1024-slot ring
+TEST(ThreadPoolStress, MoreCallersThanWorkersLoseNoIndices) {
+  ThreadPool pool(2);  // 2 workers
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 2000;
   std::atomic<long> counter{0};
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i)
-        pool.submit([&counter] {
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&] {
+      for (int i = 0; i < kCalls; ++i)
+        pool.parallel_for_each(3, [&counter](std::size_t) {
           counter.fetch_add(1, std::memory_order_relaxed);
         });
     });
-  for (std::thread& t : producers) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), long{kProducers} * kPerProducer);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(counter.load(), long{kCallers} * kCalls * 3);
 }
 
-TEST(ThreadPoolStress, QueueFullBackpressureBlocksWithoutDropping) {
-  // One worker, parked on a gate, while a producer pushes 4x the ring
-  // capacity: submit() must apply backpressure (block, not drop or throw)
-  // until the gate opens and the worker drains the ring.
-  ThreadPool pool(1);
-  std::atomic<bool> gate{false};
-  std::atomic<long> counter{0};
-  pool.submit([&gate] {
-    while (!gate.load(std::memory_order_acquire))
-      std::this_thread::yield();
-  });
-  std::thread producer([&] {
-    for (int i = 0; i < 4096; ++i)
-      pool.submit([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-  });
-  // Give the producer time to wedge against the full ring, then open up.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  gate.store(true, std::memory_order_release);
-  producer.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 4096);
-}
-
-TEST(ThreadPoolStress, NestedRunTilesFromEveryWorkerUnderSaturation) {
-  // Outer tile count is a multiple of the worker count, so every worker
-  // (and the caller) is simultaneously inside run_tiles issuing a nested
-  // run_tiles — the deadlock-prone shape for completion-group schemes.
+TEST(ThreadPoolStress, NestedCallsFromEveryWorkerUnderSaturation) {
+  // Outer index count is a multiple of the worker count, so every worker
+  // (and the caller) is simultaneously inside parallel_for_each issuing a
+  // nested call — the deadlock-prone shape for completion-group schemes.
   ThreadPool pool(4);
   constexpr std::size_t kOuter = 16;
   constexpr std::size_t kInner = 64;
   std::vector<std::vector<int>> hits(kOuter, std::vector<int>(kInner, 0));
-  pool.run_tiles(kOuter, [&](std::size_t outer) {
-    pool.run_tiles(kInner,
-                   [&hits, outer](std::size_t i) { hits[outer][i] += 1; });
+  pool.parallel_for_each(kOuter, [&](std::size_t outer) {
+    pool.parallel_for_each(
+        kInner, [&hits, outer](std::size_t i) { hits[outer][i] += 1; });
   });
   for (const auto& row : hits)
     for (int h : row) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPoolStress, TaskThrowsDuringSaturationKeepsPoolUsable) {
-  // An exception in the middle of a saturated burst must not lose sibling
-  // tasks, corrupt ring state, or poison later batches.
+TEST(ThreadPoolStress, ThrowDuringSaturationKeepsPoolUsable) {
+  // An exception in the middle of a saturated burst of concurrent callers
+  // must not lose sibling indices, corrupt ring state, reach any other
+  // caller, or poison later calls.
   ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr std::size_t kIndices = 750;
   std::atomic<long> ran{0};
-  for (int i = 0; i < 3000; ++i) {
-    const bool thrower = (i == 1500);
-    pool.submit([&ran, thrower] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      if (thrower) throw std::runtime_error("mid-burst");
+  std::atomic<int> throws{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&, c] {
+      try {
+        pool.parallel_for_each(kIndices, [&, c](std::size_t i) {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          if (c == 0 && i == kIndices / 2)
+            throw std::runtime_error("mid-burst");
+        });
+      } catch (const std::runtime_error&) {
+        throws.fetch_add(1, std::memory_order_relaxed);
+      }
     });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 3000);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(ran.load(), long{kCallers} * static_cast<long>(kIndices));
+  EXPECT_EQ(throws.load(), 1);
 
   // Pool remains fully functional after the rethrow.
   std::atomic<long> after{0};
-  pool.run_tiles(256, [&](std::size_t) {
+  pool.parallel_for_each(256, [&](std::size_t) {
     after.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(after.load(), 256);

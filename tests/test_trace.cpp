@@ -19,64 +19,10 @@ TEST(TraceRecorder, RecordsAndCounts) {
   trace.record({1, 0, TraceEventType::kAssignment, 7, 0.0});
   trace.record({1, 1, TraceEventType::kAssignment, 8, 0.0});
   trace.record({2, 0, TraceEventType::kAdoptNew, 9, 0.0});
-  EXPECT_EQ(trace.total(), 3u);
+  EXPECT_EQ(trace.events().size(), 3u);
   EXPECT_EQ(trace.count(TraceEventType::kAssignment), 2u);
   EXPECT_EQ(trace.count(TraceEventType::kAdoptNew), 1u);
   EXPECT_EQ(trace.count(TraceEventType::kTakeover), 0u);
-  trace.clear();
-  EXPECT_EQ(trace.total(), 0u);
-}
-
-TEST(TraceRecorder, JsonIsParseable) {
-  TraceRecorder trace;
-  trace.record({5, 2, TraceEventType::kTakeover, 42, 1.5});
-  const auto doc = util::Json::parse(trace.to_json());
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->is_array());
-  ASSERT_EQ(doc->as_array().size(), 1u);
-  const util::Json& e = doc->as_array()[0];
-  EXPECT_DOUBLE_EQ(e.number_or("frame", 0), 5.0);
-  EXPECT_DOUBLE_EQ(e.number_or("camera", 0), 2.0);
-  EXPECT_EQ(e.string_or("type", ""), "takeover");
-  EXPECT_DOUBLE_EQ(e.number_or("object", 0), 42.0);
-  EXPECT_DOUBLE_EQ(e.number_or("value", 0), 1.5);
-}
-
-TEST(TraceRecorder, JsonEventCountsMatchRecorder) {
-  // Mixed-type event stream (including the netsim event types): the JSON
-  // export must contain exactly the recorded events, with per-type tallies
-  // matching count().
-  const TraceEventType types[] = {
-      TraceEventType::kKeyFrame,    TraceEventType::kAssignment,
-      TraceEventType::kAdoptNew,    TraceEventType::kTakeover,
-      TraceEventType::kTrackDrop,   TraceEventType::kCameraDown,
-      TraceEventType::kCameraRejoin, TraceEventType::kNetRetry,
-      TraceEventType::kNetDrop,     TraceEventType::kSessionAdmit,
-      TraceEventType::kSessionReject, TraceEventType::kSessionEvict,
-      TraceEventType::kSessionPause, TraceEventType::kSessionResume,
-      TraceEventType::kSessionDefer, TraceEventType::kSessionReadmit,
-      TraceEventType::kDeviceScale,  TraceEventType::kBatchSplit,
-  };
-  TraceRecorder trace;
-  long frame = 0;
-  for (int round = 0; round < 4; ++round)
-    for (const TraceEventType type : types)
-      for (int n = 0; n <= round; ++n)  // uneven per-type multiplicities
-        trace.record(
-            {frame++, round, type, static_cast<std::uint64_t>(n), 0.25 * n});
-
-  const auto doc = util::Json::parse(trace.to_json());
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->is_array());
-  ASSERT_EQ(doc->as_array().size(), trace.total());
-
-  std::map<std::string, std::size_t> json_counts;
-  for (const util::Json& e : doc->as_array())
-    ++json_counts[e.string_or("type", "?")];
-  EXPECT_EQ(json_counts.size(), std::size(types));
-  for (const TraceEventType type : types)
-    EXPECT_EQ(json_counts[to_string(type)], trace.count(type))
-        << to_string(type);
 }
 
 TEST(TraceRecorder, ThreadSafeRecording) {
@@ -89,33 +35,37 @@ TEST(TraceRecorder, ThreadSafeRecording) {
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(trace.total(), 2000u);
+  EXPECT_EQ(trace.events().size(), 2000u);
 }
 
-TEST(TraceRecorder, EventTypeNames) {
-  EXPECT_STREQ(to_string(TraceEventType::kKeyFrame), "key_frame");
-  EXPECT_STREQ(to_string(TraceEventType::kTrackDrop), "track_drop");
-  EXPECT_STREQ(to_string(TraceEventType::kSessionAdmit), "session_admit");
-  EXPECT_STREQ(to_string(TraceEventType::kSessionReject), "session_reject");
-  EXPECT_STREQ(to_string(TraceEventType::kSessionEvict), "session_evict");
-  EXPECT_STREQ(to_string(TraceEventType::kSessionDefer), "session_defer");
-  EXPECT_STREQ(to_string(TraceEventType::kSessionReadmit), "session_readmit");
-  EXPECT_STREQ(to_string(TraceEventType::kRtDrop), "rt_drop");
-  EXPECT_STREQ(to_string(TraceEventType::kRtSupersede), "rt_supersede");
-  EXPECT_STREQ(to_string(TraceEventType::kRtDeadlineMiss), "rt_deadline_miss");
-  EXPECT_STREQ(to_string(TraceEventType::kDeviceScale), "device_scale");
-  EXPECT_STREQ(to_string(TraceEventType::kBatchSplit), "batch_split");
-}
-
-TEST(TraceRecorder, EveryEventTypeHasAUniqueName) {
-  std::set<std::string> names;
+TEST(TraceRecorder, EveryEventTypeCountsUnderItsOwnName) {
+  // emit() counts each type as events.<name>: every type must have a name
+  // of its own, so one emit of each type yields one counter per type.
+  obs::reset();
+  obs::set_enabled(true);
   const int n = static_cast<int>(TraceEventType::kTraceEventTypeCount_);
-  for (int t = 0; t < n; ++t) {
-    const std::string name = to_string(static_cast<TraceEventType>(t));
-    EXPECT_NE(name, "?") << "type " << t << " has no name";
-    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  for (int t = 0; t < n; ++t)
+    emit(nullptr, {0, -1, static_cast<TraceEventType>(t), 0, 0.0});
+  const auto metrics = util::Json::parse(obs::metrics().to_json());
+  obs::set_enabled(false);
+  obs::reset();
+  ASSERT_TRUE(metrics.has_value());
+  const util::Json* counters = metrics->find("counters");
+  ASSERT_NE(counters, nullptr);
+  std::set<std::string> names;
+  for (const auto& [name, value] : counters->as_object()) {
+    if (name.rfind("events.", 0) != 0) continue;
+    EXPECT_DOUBLE_EQ(value.as_number(), 1.0) << name;
+    names.insert(name);
   }
-  EXPECT_STREQ(to_string(TraceEventType::kTraceEventTypeCount_), "?");
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(n));
+  for (const char* name :
+       {"events.key_frame", "events.track_drop", "events.session_admit",
+        "events.session_reject", "events.session_evict",
+        "events.session_defer", "events.session_readmit", "events.rt_drop",
+        "events.rt_supersede", "events.rt_deadline_miss",
+        "events.device_scale", "events.batch_split"})
+    EXPECT_EQ(names.count(name), 1u) << name;
 }
 
 TEST(PipelineTrace, BalbEmitsSchedulingEvents) {

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "track/flow_tracker.hpp"
-#include "track/kalman.hpp"
-#include "track/sort_tracker.hpp"
 #include "util/rng.hpp"
 
 namespace mvs::track {
@@ -14,43 +12,6 @@ detect::Detection det_at(geom::BBox box, std::uint64_t truth = 1) {
   d.score = 0.9;
   d.truth_id = truth;
   return d;
-}
-
-TEST(Kalman, InitialStateMatchesBox) {
-  const geom::BBox box{100, 50, 40, 20};
-  KalmanBoxFilter kf(box);
-  const geom::BBox state = kf.state_box();
-  EXPECT_NEAR(state.center().x, box.center().x, 1e-6);
-  EXPECT_NEAR(state.area(), box.area(), 1e-3);
-}
-
-TEST(Kalman, LearnsConstantVelocity) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 20, 20});
-  // Feed measurements moving +5 px/frame in x.
-  for (int t = 1; t <= 20; ++t) {
-    kf.predict();
-    kf.update(geom::BBox{5.0 * t, 0, 20, 20});
-  }
-  // After convergence, prediction leads the last measurement by ~5 px.
-  const geom::BBox pred = kf.predict();
-  EXPECT_NEAR(pred.center().x, 5.0 * 21 + 10.0, 2.0);
-  EXPECT_NEAR(kf.velocity().x, 5.0, 1.0);
-  EXPECT_NEAR(kf.velocity().y, 0.0, 0.5);
-}
-
-TEST(Kalman, UpdatePullsTowardMeasurement) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 20, 20});
-  kf.predict();
-  kf.update(geom::BBox{40, 40, 20, 20});
-  const geom::BBox state = kf.state_box();
-  EXPECT_GT(state.center().x, 10.0);  // moved toward measurement
-}
-
-TEST(Kalman, DegenerateBoxSurvives) {
-  KalmanBoxFilter kf(geom::BBox{0, 0, 0, 0});
-  kf.predict();
-  kf.update(geom::BBox{1, 1, 0.1, 0.1});
-  EXPECT_GE(kf.state_box().area(), 0.0);
 }
 
 vision::FlowField uniform_flow(geom::Vec2 motion, int cols = 10,
@@ -96,7 +57,8 @@ TEST(FlowTracker, PredictScalesFlow) {
 TEST(FlowTracker, UpdateMatchesAndRefreshes) {
   FlowTracker tracker = make_tracker();
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
-  const auto result = tracker.update({det_at({12, 11, 20, 20}, 1)});
+  FlowTracker::UpdateResult result;
+  tracker.update_into({det_at({12, 11, 20, 20}, 1)}, nullptr, result);
   EXPECT_EQ(result.matched_track_ids.size(), 1u);
   EXPECT_TRUE(result.unmatched_detections.empty());
   EXPECT_DOUBLE_EQ(tracker.tracks()[0].box.x, 12.0);
@@ -106,8 +68,10 @@ TEST(FlowTracker, UpdateMatchesAndRefreshes) {
 TEST(FlowTracker, UnmatchedDetectionReportedNotAdopted) {
   FlowTracker tracker = make_tracker();
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
-  const auto result = tracker.update(
-      {det_at({12, 11, 20, 20}, 1), det_at({300, 300, 20, 20}, 2)});
+  FlowTracker::UpdateResult result;
+  tracker.update_into(
+      {det_at({12, 11, 20, 20}, 1), det_at({300, 300, 20, 20}, 2)}, nullptr,
+      result);
   ASSERT_EQ(result.unmatched_detections.size(), 1u);
   EXPECT_EQ(result.unmatched_detections[0], 1u);
   EXPECT_EQ(tracker.tracks().size(), 1u);  // scheduling decides adoption
@@ -118,10 +82,11 @@ TEST(FlowTracker, MissedTracksDropAfterLimit) {
   cfg.max_missed = 2;
   FlowTracker tracker(cfg, geom::SizeClassSet{});
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
-  tracker.update({});
-  tracker.update({});
+  FlowTracker::UpdateResult result;
+  tracker.update_into({}, nullptr, result);
+  tracker.update_into({}, nullptr, result);
   EXPECT_EQ(tracker.tracks().size(), 1u);
-  const auto result = tracker.update({});
+  tracker.update_into({}, nullptr, result);
   EXPECT_EQ(tracker.tracks().size(), 0u);
   ASSERT_EQ(result.removed_track_ids.size(), 1u);
 }
@@ -131,20 +96,20 @@ TEST(FlowTracker, MissCounterResetsOnMatch) {
   cfg.max_missed = 2;
   FlowTracker tracker(cfg, geom::SizeClassSet{});
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
-  tracker.update({});
-  tracker.update({det_at({10, 10, 20, 20}, 1)});
-  tracker.update({});
-  tracker.update({});
+  FlowTracker::UpdateResult result;
+  tracker.update_into({}, nullptr, result);
+  tracker.update_into({det_at({10, 10, 20, 20}, 1)}, nullptr, result);
+  tracker.update_into({}, nullptr, result);
+  tracker.update_into({}, nullptr, result);
   EXPECT_EQ(tracker.tracks().size(), 1u);  // 2 misses since match, still alive
 }
 
-TEST(FlowTracker, AddRemoveTrack) {
+TEST(FlowTracker, AddTrack) {
   FlowTracker tracker = make_tracker();
   const long id = tracker.add_track(det_at({5, 5, 64, 64}, 9));
-  EXPECT_TRUE(tracker.has_track(id));
+  ASSERT_NE(tracker.find(id), nullptr);
   EXPECT_EQ(tracker.find(id)->size_class, 1);  // 64+margin -> class 1
-  tracker.remove_track(id);
-  EXPECT_FALSE(tracker.has_track(id));
+  EXPECT_EQ(tracker.find(id + 1), nullptr);
 }
 
 TEST(FlowTracker, SizeClassFixedWithinHorizon) {
@@ -152,54 +117,18 @@ TEST(FlowTracker, SizeClassFixedWithinHorizon) {
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
   const geom::SizeClassId before = tracker.tracks()[0].size_class;
   // Object grows; class must stay (downsizing handled by the detector).
-  tracker.update({det_at({10, 10, 200, 200}, 1)});
+  FlowTracker::UpdateResult result;
+  tracker.update_into({det_at({10, 10, 200, 200}, 1)}, nullptr, result);
   EXPECT_EQ(tracker.tracks()[0].size_class, before);
 }
 
 TEST(FlowTracker, PredictedBoxesExported) {
   FlowTracker tracker = make_tracker();
   tracker.reset_from_detections({det_at({10, 10, 20, 20}, 1)});
-  const auto boxes = tracker.predicted_boxes();
+  std::vector<std::pair<long, geom::BBox>> boxes;
+  tracker.predicted_boxes_into(boxes);
   ASSERT_EQ(boxes.size(), 1u);
   EXPECT_EQ(boxes[0].first, tracker.tracks()[0].id);
-}
-
-TEST(SortTracker, ConfirmsAfterMinHits) {
-  SortTracker tracker;
-  EXPECT_TRUE(tracker.step({det_at({10, 10, 20, 20}, 1)}).empty());
-  const auto confirmed = tracker.step({det_at({12, 10, 20, 20}, 1)});
-  ASSERT_EQ(confirmed.size(), 1u);
-  EXPECT_EQ(confirmed[0].hits, 2);
-}
-
-TEST(SortTracker, TracksThroughOcclusionGap) {
-  SortTracker tracker;
-  tracker.step({det_at({10, 10, 20, 20}, 1)});
-  tracker.step({det_at({15, 10, 20, 20}, 1)});
-  tracker.step({});  // one missed frame
-  const auto confirmed = tracker.step({det_at({25, 10, 20, 20}, 1)});
-  ASSERT_EQ(confirmed.size(), 1u);
-  EXPECT_EQ(tracker.track_count(), 1u);  // same identity, no duplicate birth
-}
-
-TEST(SortTracker, DropsLostTracks) {
-  SortTracker::Config cfg;
-  cfg.max_missed = 1;
-  SortTracker tracker(cfg);
-  tracker.step({det_at({10, 10, 20, 20}, 1)});
-  tracker.step({});
-  tracker.step({});
-  EXPECT_EQ(tracker.track_count(), 0u);
-}
-
-TEST(SortTracker, SeparateIdentities) {
-  SortTracker tracker;
-  for (int t = 0; t < 4; ++t) {
-    const double off = 3.0 * t;
-    tracker.step({det_at({10 + off, 10, 20, 20}, 1),
-                  det_at({200 - off, 200, 20, 20}, 2)});
-  }
-  EXPECT_EQ(tracker.track_count(), 2u);
 }
 
 }  // namespace
